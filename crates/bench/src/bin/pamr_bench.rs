@@ -50,10 +50,7 @@
 //! [`SCALING_PR_MAX_COMMS`] / [`SCALING_XYI_MAX_COMMS`]; the near-linear
 //! IG and the serve probe cover the top of the grid; `--profile serve`
 //! skips the grid entirely and records only the 256×256/10⁴ serve probe
-//! (the sub-100 ms incremental re-route figure). (The Criterion
-//! target `crates/bench/benches/scaling.rs` is a different, smaller
-//! ablation — heuristic cost vs mesh side at constant density — kept under
-//! the same name for history; this lane is the grid with fits.) `frontier`
+//! (the sub-100 ms incremental re-route figure). `frontier`
 //! is the bi-objective lane: the pooled ε-constraint power × latency sweep
 //! behind `pamr frontier` (per-segment fan-out + dominance-filtering
 //! merge) versus the sequential reference solver, cross-checked to the

@@ -1,40 +1,17 @@
-//! # pamr-bench — shared fixtures for the Criterion benchmark harness
+//! # pamr-bench — shared fixtures for the `pamr-bench` timing harness
 //!
-//! One bench target per paper artefact (see `benches/`):
-//!
-//! * `heuristic_runtime` — §6.4's runtime claim (XYI ≈ 24 ms, PR ≈ 38 ms on
-//!   the authors' hardware): per-heuristic wall time on campaign-distribution
-//!   instances;
-//! * `fig7_sweep` / `fig8_sweep` / `fig9_sweep` — the cost of one trial at
-//!   representative sweep points of each figure (the data itself is
-//!   regenerated by the `pamr-sim` binaries);
-//! * `theory_ratios` — Theorem 1 / Lemma 2 construction and evaluation cost;
-//! * `scaling` — ablation: heuristic cost versus mesh size and instance
-//!   size, and discrete- versus continuous-frequency model cost;
-//! * `nocsim_throughput` — packet-simulator event throughput.
+//! Deterministic instances on the campaign platform (the 8×8 mesh under
+//! the Kim–Horowitz model) that the `pamr-bench` lanes time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use criterion::Criterion;
 use pamr_mesh::Mesh;
 use pamr_power::PowerModel;
 use pamr_routing::CommSet;
 use pamr_workload::{LengthTargetedWorkload, UniformWorkload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::time::Duration;
-
-/// Criterion configuration keeping the whole suite fast enough to run as a
-/// single `cargo bench --workspace` pass (benchmarks here compare shapes,
-/// not nanoseconds: 10 samples × ~1 s per measurement suffice).
-pub fn quick() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(900))
-        .configure_from_args()
-}
 
 /// The campaign mesh (8×8).
 pub fn mesh8() -> Mesh {

@@ -3,8 +3,7 @@
 //! The paper optimises *power* for a steady communication pattern; systems
 //! people usually want the integral. These helpers convert a routing's
 //! power breakdown into energy over an interval and expose the discrete
-//! frequency ladder for DVFS-aware tooling (the nocsim crate and the
-//! benches use them).
+//! frequency ladder for DVFS-aware tooling.
 
 use crate::model::{FrequencyScale, PowerModel};
 

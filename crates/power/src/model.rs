@@ -148,7 +148,7 @@ impl PowerModel {
     }
 
     /// Continuous variant of [`PowerModel::kim_horowitz`] (same constants,
-    /// exact frequency matching) — used by ablation benches.
+    /// exact frequency matching) — `pamr route --model continuous`.
     pub fn kim_horowitz_continuous() -> Self {
         PowerModel {
             scale: FrequencyScale::Continuous,

@@ -141,11 +141,9 @@ impl CommSet {
     }
 
     /// Communication indices under one of the processing orders the paper
-    /// compared (§5: "we have considered variants of the heuristics, where
-    /// communications are sorted according to another criterion (as for
-    /// instance their length, or the ratio of their weight over their
-    /// length). It turns out that decreasing weights gives the best
-    /// results"). Ties break by instance order.
+    /// compared (§5 also sorts communications by length, or by the ratio of
+    /// weight over length, and finds that "decreasing weights gives the
+    /// best results"). Ties break by instance order.
     pub fn by_order(&self, order: SortOrder) -> Vec<usize> {
         let key = |c: &Comm| -> f64 {
             match order {

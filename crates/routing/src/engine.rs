@@ -1,21 +1,15 @@
-//! Unified engine selection: one explicit [`EngineConfig`] instead of four
-//! process-global switches.
+//! Engine selection: one explicit [`EngineConfig`] value.
 //!
 //! Every optimized data structure in the routing hot path ships with its
 //! literal full-scan twin (see ARCHITECTURE.md § "The engine /
-//! reference-oracle pattern"). Historically each subsystem carried its own
-//! mutable process-global selector (`pr::set_implementation`,
-//! `xyi::set_implementation`, `ig::set_implementation`,
-//! `precompute::set_implementation`); flipping one from a test leaked into
-//! every other test in the binary unless carefully serialized and restored.
-//!
-//! The selection is now *data, not ambient state*: an [`EngineConfig`]
-//! value selecting [`EngineSel::Live`] or [`EngineSel::Reference`] per
-//! subsystem, carried by the [`RouteScratch`](crate::RouteScratch) each
-//! `route_with` call receives (`RouteScratch::with_engine`), by the
-//! campaign (`pamr_sim::campaign::Campaign::engine`) and by the resident
-//! session (`SessionConfig::engine`). Two call sites can use different
-//! engines concurrently with no coordination:
+//! reference-oracle pattern"). The selection is *data, not ambient
+//! state*: an [`EngineConfig`] value selecting [`EngineSel::Live`] or
+//! [`EngineSel::Reference`] per subsystem, carried by the
+//! [`RouteScratch`](crate::RouteScratch) each `route_with` call receives
+//! (`RouteScratch::with_engine`), by the campaign
+//! (`pamr_sim::campaign::Campaign::engine`) and by the resident session
+//! (`SessionConfig::engine`). Two call sites can use different engines
+//! concurrently with no coordination:
 //!
 //! ```
 //! use pamr_routing::{engine::EngineConfig, Heuristic, PathRemover, RouteScratch};
@@ -33,13 +27,6 @@
 //! let b = PathRemover.route_with(&cs, &model, &mut oracle);
 //! assert_eq!(a, b); // the differential contract
 //! ```
-//!
-//! The old four global setters survive as thin `#[deprecated]` shims over
-//! one [`process_default`] config, which a scratch built without an
-//! explicit config falls back to — existing callers keep working while
-//! `pamr-lint`'s G001 rule flags any *new* first-party use of the shims.
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which side of an engine/reference pair a subsystem dispatches to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -122,90 +109,6 @@ impl EngineConfig {
     }
 }
 
-/// Bit positions of the process-default bitmask (bit set = `Reference`).
-const BIT_PR: u8 = 1 << 0;
-const BIT_XYI: u8 = 1 << 1;
-const BIT_IG: u8 = 1 << 2;
-const BIT_PRECOMPUTE: u8 = 1 << 3;
-
-/// The process-default [`EngineConfig`] as a bitmask, written only through
-/// [`set_process_default`] and the deprecated per-subsystem shims.
-static PROCESS_DEFAULT: AtomicU8 = AtomicU8::new(0);
-
-fn to_bits(cfg: EngineConfig) -> u8 {
-    let mut bits = 0;
-    if cfg.pr.is_reference() {
-        bits |= BIT_PR;
-    }
-    if cfg.xyi.is_reference() {
-        bits |= BIT_XYI;
-    }
-    if cfg.ig.is_reference() {
-        bits |= BIT_IG;
-    }
-    if cfg.precompute.is_reference() {
-        bits |= BIT_PRECOMPUTE;
-    }
-    bits
-}
-
-fn from_bits(bits: u8) -> EngineConfig {
-    let sel = |bit: u8| {
-        if bits & bit != 0 {
-            EngineSel::Reference
-        } else {
-            EngineSel::Live
-        }
-    };
-    EngineConfig {
-        pr: sel(BIT_PR),
-        xyi: sel(BIT_XYI),
-        ig: sel(BIT_IG),
-        precompute: sel(BIT_PRECOMPUTE),
-    }
-}
-
-/// Replaces the process-default engine config — the fallback used by a
-/// [`RouteScratch`](crate::RouteScratch) built without an explicit config
-/// ([`RouteScratch::new`](crate::RouteScratch::new)).
-///
-/// Prefer passing an [`EngineConfig`] explicitly; this exists so the
-/// deprecated per-subsystem `set_implementation` shims keep their old
-/// process-global semantics during migration.
-pub fn set_process_default(cfg: EngineConfig) {
-    PROCESS_DEFAULT.store(to_bits(cfg), Ordering::Relaxed);
-}
-
-/// The current process-default engine config (all-`Live` unless changed).
-pub fn process_default() -> EngineConfig {
-    from_bits(PROCESS_DEFAULT.load(Ordering::Relaxed))
-}
-
-/// Updates one subsystem bit of the process default atomically — the
-/// implementation behind the deprecated per-subsystem shims.
-pub(crate) fn set_process_bit(which: ProcessBit, sel: EngineSel) {
-    let bit = match which {
-        ProcessBit::Pr => BIT_PR,
-        ProcessBit::Xyi => BIT_XYI,
-        ProcessBit::Ig => BIT_IG,
-        ProcessBit::Precompute => BIT_PRECOMPUTE,
-    };
-    if sel.is_reference() {
-        PROCESS_DEFAULT.fetch_or(bit, Ordering::Relaxed);
-    } else {
-        PROCESS_DEFAULT.fetch_and(!bit, Ordering::Relaxed);
-    }
-}
-
-/// Subsystem addressed by [`set_process_bit`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ProcessBit {
-    Pr,
-    Xyi,
-    Ig,
-    Precompute,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,33 +128,5 @@ mod tests {
         assert_eq!(cfg.pr, EngineSel::Live);
         assert_eq!(cfg.xyi, EngineSel::Live);
         assert_eq!(cfg.precompute, EngineSel::Live);
-    }
-
-    #[test]
-    fn bitmask_round_trips_every_config() {
-        for bits in 0..16u8 {
-            assert_eq!(to_bits(from_bits(bits)), bits);
-        }
-        assert_eq!(to_bits(EngineConfig::LIVE), 0);
-        assert_eq!(to_bits(EngineConfig::REFERENCE), 0b1111);
-    }
-
-    #[test]
-    fn process_default_round_trips() {
-        // Serialized on this test alone: nothing else in the crate's test
-        // binary writes the process default (the engine tests all pass
-        // explicit configs).
-        assert_eq!(process_default(), EngineConfig::LIVE);
-        let mixed = EngineConfig::LIVE.with_xyi(EngineSel::Reference);
-        set_process_default(mixed);
-        assert_eq!(process_default(), mixed);
-        set_process_bit(ProcessBit::Pr, EngineSel::Reference);
-        assert_eq!(
-            process_default(),
-            mixed.with_pr(EngineSel::Reference),
-            "single-bit update must preserve the other bits"
-        );
-        set_process_default(EngineConfig::LIVE);
-        assert_eq!(process_default(), EngineConfig::LIVE);
     }
 }

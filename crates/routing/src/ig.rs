@@ -26,11 +26,10 @@
 //! randomized §6 workloads plus a byte-identical seeded campaign report,
 //! swapping the engine behind [`HeuristicKind::Ig`](crate::HeuristicKind)
 //! via an explicit [`EngineConfig`](crate::EngineConfig) (mirroring the
-//! `pr` oracle). The deprecated [`set_implementation`] shim only moves the
-//! process-wide default that unconfigured scratches fall back to.
+//! `pr` oracle).
 
 use crate::comm::{Comm, CommSet, SortOrder};
-use crate::engine::{self, EngineSel, ProcessBit};
+use crate::engine::EngineSel;
 use crate::heuristic::{link_cost, Heuristic};
 use crate::precompute::CostLadder;
 use crate::routing::Routing;
@@ -59,46 +58,6 @@ pub use reference::ReferenceImprovedGreedy;
 pub struct ImprovedGreedy {
     /// Processing order (decreasing weight by default, per the paper).
     pub order: SortOrder,
-}
-
-/// Which Improved-greedy engine [`ImprovedGreedy`] (and hence
-/// [`HeuristicKind::Ig`](crate::HeuristicKind)) dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IgImpl {
-    /// The indexed engine (default).
-    Indexed,
-    /// The full-scan oracle ([`mod@reference`]).
-    Reference,
-}
-
-/// Sets the *process-default* Improved-greedy engine.
-///
-/// Deprecated shim over [`engine::EngineConfig`]: it updates only the
-/// fallback used by scratches built without an explicit config. Pass
-/// `RouteScratch::with_engine(EngineConfig::LIVE.with_ig(…))` instead.
-#[deprecated(
-    since = "0.10.0",
-    note = "pass an explicit engine::EngineConfig via RouteScratch::with_engine"
-)]
-pub fn set_implementation(imp: IgImpl) {
-    let sel = match imp {
-        IgImpl::Indexed => EngineSel::Live,
-        IgImpl::Reference => EngineSel::Reference,
-    };
-    engine::set_process_bit(ProcessBit::Ig, sel);
-}
-
-/// The *process-default* Improved-greedy engine (deprecated shim; a
-/// scratch pinned by [`RouteScratch::with_engine`] ignores it).
-#[deprecated(
-    since = "0.10.0",
-    note = "read the engine::EngineConfig carried by the RouteScratch instead"
-)]
-pub fn implementation() -> IgImpl {
-    match engine::process_default().ig {
-        EngineSel::Live => IgImpl::Indexed,
-        EngineSel::Reference => IgImpl::Reference,
-    }
 }
 
 /// Adds (`sign = 1.0`) or removes (`-1.0`) a communication's Figure 3 ideal
@@ -303,7 +262,7 @@ fn ig_route_one_indexed(
 impl ImprovedGreedy {
     /// The indexed engine, unconditionally — what the differential suite
     /// compares against [`ReferenceImprovedGreedy`] regardless of the
-    /// process-global [`implementation`] selector.
+    /// scratch's engine selection.
     pub fn route_indexed_with(
         &self,
         cs: &CommSet,

@@ -9,9 +9,7 @@
 //! bit-identical load maps, byte-identical campaign reports. Both
 //! implementations are compiled unconditionally (no `#[cfg]`), so the
 //! oracle is always available to tests, benchmarks and the
-//! [`EngineConfig`](crate::EngineConfig) `ig` selection (the deprecated
-//! [`set_implementation`](crate::ig::set_implementation) shim moves the
-//! process default).
+//! [`EngineConfig`](crate::EngineConfig) `ig` selection.
 
 use super::apply_ideal;
 use crate::comm::{Comm, CommSet, SortOrder};

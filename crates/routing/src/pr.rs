@@ -29,12 +29,10 @@
 //! [`HeuristicKind::Pr`](crate::HeuristicKind) by threading an explicit
 //! [`EngineConfig`](crate::EngineConfig) (e.g.
 //! `EngineConfig::LIVE.with_pr(EngineSel::Reference)`) through their
-//! scratch, session or campaign state; the deprecated
-//! [`set_implementation`] shim only moves the process-wide *default* that
-//! unconfigured scratches fall back to.
+//! scratch, session or campaign state.
 
 use crate::comm::CommSet;
-use crate::engine::{self, EngineSel, ProcessBit};
+use crate::engine::EngineSel;
 use crate::heuristic::Heuristic;
 use crate::loadq::LoadQueue;
 use crate::precompute::EndpointTables;
@@ -66,46 +64,6 @@ pub use reference::ReferencePathRemover;
 /// [`ReferencePathRemover`] is the bit-identical full-sweep oracle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PathRemover;
-
-/// Which Path-Remover engine [`PathRemover`] (and hence
-/// [`HeuristicKind::Pr`](crate::HeuristicKind)) dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrImpl {
-    /// The banded incremental engine (default).
-    Banded,
-    /// The full-sweep oracle ([`mod@reference`]).
-    Reference,
-}
-
-/// Sets the *process-default* Path-Remover engine.
-///
-/// Deprecated shim over [`engine::EngineConfig`]: it updates only the
-/// fallback used by scratches built without an explicit config. Pass
-/// `RouteScratch::with_engine(EngineConfig::LIVE.with_pr(…))` instead.
-#[deprecated(
-    since = "0.10.0",
-    note = "pass an explicit engine::EngineConfig via RouteScratch::with_engine"
-)]
-pub fn set_implementation(imp: PrImpl) {
-    let sel = match imp {
-        PrImpl::Banded => EngineSel::Live,
-        PrImpl::Reference => EngineSel::Reference,
-    };
-    engine::set_process_bit(ProcessBit::Pr, sel);
-}
-
-/// The *process-default* Path-Remover engine (deprecated shim; a scratch
-/// pinned by [`RouteScratch::with_engine`] ignores it).
-#[deprecated(
-    since = "0.10.0",
-    note = "read the engine::EngineConfig carried by the RouteScratch instead"
-)]
-pub fn implementation() -> PrImpl {
-    match engine::process_default().pr {
-        EngineSel::Live => PrImpl::Banded,
-        EngineSel::Reference => PrImpl::Reference,
-    }
-}
 
 /// A violated structural invariant inside the PR heuristic.
 ///

@@ -10,9 +10,7 @@
 //! [`PrError`]s, byte-identical campaign reports. Both implementations are
 //! compiled unconditionally (no `#[cfg]`), so the oracle is always
 //! available to tests, benchmarks and the
-//! [`EngineConfig`](crate::EngineConfig) `pr` selection (the deprecated
-//! [`set_implementation`](crate::pr::set_implementation) shim moves the
-//! process default).
+//! [`EngineConfig`](crate::EngineConfig) `pr` selection.
 
 use super::PrError;
 use crate::comm::CommSet;

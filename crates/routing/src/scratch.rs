@@ -11,7 +11,7 @@
 
 use crate::comm::CommSet;
 use crate::csr::CrossingIndex;
-use crate::engine::{self, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::loadq::LoadQueue;
 use crate::precompute::{CostLadder, CustomizedInstance, MeshPrecompute};
 use pamr_mesh::{LinkId, LoadMap};
@@ -90,17 +90,14 @@ pub struct RouteScratch {
     /// [`ensure_ladder`](Self::ensure_ladder).
     pub(crate) ladder: Option<CostLadder>,
     /// The engine selection every `route_with` call through this scratch
-    /// dispatches on. `None` (the [`Default`]) falls back to the process
-    /// default ([`engine::process_default`]), which is how the deprecated
-    /// per-subsystem `set_implementation` shims keep working.
-    pub(crate) engine: Option<EngineConfig>,
+    /// dispatches on ([`EngineConfig::LIVE`] by default).
+    pub(crate) engine: EngineConfig,
 }
 
 impl RouteScratch {
-    /// A new, empty scratch. Buffers are grown on first use. Engine
-    /// dispatch follows the process default (all-`Live` unless a deprecated
-    /// shim changed it); use [`RouteScratch::with_engine`] to pin an
-    /// explicit [`EngineConfig`] instead.
+    /// A new, empty scratch on [`EngineConfig::LIVE`]. Buffers are grown
+    /// on first use; use [`RouteScratch::with_engine`] to select another
+    /// [`EngineConfig`].
     pub fn new() -> Self {
         RouteScratch::default()
     }
@@ -108,21 +105,19 @@ impl RouteScratch {
     /// A new, empty scratch pinned to an explicit engine selection.
     pub fn with_engine(engine: EngineConfig) -> Self {
         RouteScratch {
-            engine: Some(engine),
+            engine,
             ..RouteScratch::default()
         }
     }
 
-    /// Pins this scratch to an explicit engine selection (replacing the
-    /// process-default fallback or a previous pin).
+    /// Replaces this scratch's engine selection.
     pub fn set_engine(&mut self, engine: EngineConfig) {
-        self.engine = Some(engine);
+        self.engine = engine;
     }
 
-    /// The engine selection `route_with` calls through this scratch use:
-    /// the pinned config, or the process default when none was pinned.
+    /// The engine selection `route_with` calls through this scratch use.
     pub fn engine(&self) -> EngineConfig {
-        self.engine.unwrap_or_else(engine::process_default)
+        self.engine
     }
 
     /// Attaches a shared phase-one precompute, replacing any previously

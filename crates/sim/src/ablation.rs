@@ -289,7 +289,7 @@ mod tests {
     fn smp_sweep_shapes() {
         // Note: splitting relaxes the *problem*, but SplitMp<PR> is still a
         // heuristic — its success count is not guaranteed monotone in s
-        // (the ablation binary shows exactly this). We only assert sanity:
+        // (`pamr ablation` shows exactly this). We only assert sanity:
         // every s finds solutions, and on the comparable set all powers sit
         // above the continuous max-MP lower bound.
         let mesh = crate::paper_mesh();

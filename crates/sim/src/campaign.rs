@@ -55,8 +55,22 @@ impl ShardSpec {
         ShardSpec { index, count }
     }
 
-    /// Parses the CLI form `i/N` (e.g. `0/2`).
-    pub fn parse(s: &str) -> Result<ShardSpec, String> {
+    /// Does this shard own sweep point `point_index`?
+    pub fn owns(&self, point_index: usize) -> bool {
+        point_index % self.count == self.index
+    }
+
+    /// Is this the trivial single-process shard?
+    pub fn is_full(&self) -> bool {
+        self.count == 1
+    }
+}
+
+/// Parses the CLI form `i/N` (e.g. `0/2`).
+impl std::str::FromStr for ShardSpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<ShardSpec, String> {
         let (i, n) = s
             .split_once('/')
             .ok_or_else(|| format!("bad shard spec {s:?}: expected i/N (e.g. 0/2)"))?;
@@ -73,16 +87,6 @@ impl ShardSpec {
             return Err(format!("bad shard spec {s:?}: index must be < count"));
         }
         Ok(ShardSpec { index, count })
-    }
-
-    /// Does this shard own sweep point `point_index`?
-    pub fn owns(&self, point_index: usize) -> bool {
-        point_index % self.count == self.index
-    }
-
-    /// Is this the trivial single-process shard?
-    pub fn is_full(&self) -> bool {
-        self.count == 1
     }
 }
 

@@ -212,27 +212,13 @@ pub fn run_experiment(
     trials: usize,
     seed: u64,
 ) -> ExperimentResult {
-    run_experiment_sharded(exp, mesh, model, trials, seed, ShardSpec::FULL)
-}
-
-/// [`run_experiment`] restricted to the sweep points owned by `shard`
-/// (`p % shard.count == shard.index`). Per-point statistics are bit-equal
-/// to the unsharded run's; only the non-owned points are absent.
-pub fn run_experiment_sharded(
-    exp: &Experiment,
-    mesh: &Mesh,
-    model: &PowerModel,
-    trials: usize,
-    seed: u64,
-    shard: ShardSpec,
-) -> ExperimentResult {
     let pre = std::sync::Arc::new(pamr_routing::MeshPrecompute::new(*mesh));
     Campaign {
         mesh,
         model,
         trials,
         seed,
-        shard,
+        shard: ShardSpec::FULL,
         pre: Some(&pre),
         engine: pamr_routing::EngineConfig::LIVE,
     }

@@ -22,17 +22,17 @@
 //! heuristic (0 on failure), normalised by the inverse of the power of
 //! BEST, plus the failure ratio.
 //!
-//! Binaries: `fig2`, `fig7`, `fig8`, `fig9`, `summary`, `theory` — one per
-//! paper artefact, each printing the series the corresponding figure
-//! plots (and writing CSV when `--csv DIR` is given). All campaign
-//! binaries accept `--threads N`; `RAYON_NUM_THREADS` works too.
+//! The `pamr` CLI runs each artefact as a subcommand (`pamr fig2`,
+//! `pamr fig7`, …, `pamr summary`, `pamr ablation`, `pamr theory`),
+//! printing the series the corresponding figure plots (and writing CSV
+//! when `--csv DIR` is given). Campaign subcommands accept `--threads N`;
+//! `RAYON_NUM_THREADS` works too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod campaign;
-pub mod cli;
 pub mod experiments;
 pub mod frontier;
 pub mod runner;

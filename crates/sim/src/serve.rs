@@ -86,15 +86,10 @@ impl Server {
                 (op, result)
             }
         };
-        let value = match result {
-            Ok(v) => v,
-            Err(error) => obj(vec![
-                ("ok", Value::Bool(false)),
-                ("op", op.map_or(Value::Null, Value::Str)),
-                ("error", Value::Str(error)),
-            ]),
-        };
-        serde_json::to_string(&value).expect("responses are plain JSON values")
+        match result {
+            Ok(v) => serde_json::to_string(&v).expect("responses are plain JSON values"),
+            Err(error) => error_line(op, error),
+        }
     }
 
     fn op_add_comm(&mut self, req: &Value) -> Result<Value, String> {
@@ -229,21 +224,29 @@ impl Server {
 
 /// Serves requests line by line from `input` to `out`, one response per
 /// request, flushing after each (a piped client sees its answer
-/// immediately). Blank lines are ignored.
+/// immediately). Blank lines are ignored; a line that is not UTF-8 gets a
+/// structured error response like any other malformed request.
 pub fn serve_lines<R: BufRead, W: Write>(
     server: &mut Server,
-    input: R,
+    mut input: R,
     mut out: W,
 ) -> std::io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if input.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
         }
-        writeln!(out, "{}", server.handle_line(&line))?;
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let response = match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => server.handle_line(line),
+            Err(e) => error_line(None, format!("invalid UTF-8: {e}")),
+        };
+        writeln!(out, "{response}")?;
         out.flush()?;
     }
-    Ok(())
 }
 
 /// Binds `addr` and serves clients sequentially, the session persisting
@@ -280,6 +283,16 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
+}
+
+/// The `{"ok":false,"op":…,"error":…}` response line.
+fn error_line(op: Option<String>, error: String) -> String {
+    let value = obj(vec![
+        ("ok", Value::Bool(false)),
+        ("op", op.map_or(Value::Null, Value::Str)),
+        ("error", Value::Str(error)),
+    ]);
+    serde_json::to_string(&value).expect("responses are plain JSON values")
 }
 
 fn s(text: &str) -> Value {
@@ -440,5 +453,26 @@ mod tests {
         assert_eq!(lines.len(), 2, "blank request lines are skipped: {text}");
         assert!(lines[0].contains("add_comm"));
         assert!(lines[1].contains("power_report"));
+    }
+
+    #[test]
+    fn non_utf8_line_gets_an_error_and_serving_continues() {
+        let mut srv = server();
+        let mut out = Vec::new();
+        serve_lines(
+            &mut srv,
+            &b"\xff\n{\"op\":\"power_report\"}\n"[..],
+            &mut out,
+        )
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].starts_with(r#"{"ok":false,"op":null"#), "{text}");
+        assert!(lines[0].contains("invalid UTF-8"), "{text}");
+        assert!(
+            lines[1].starts_with(r#"{"ok":true,"op":"power_report""#),
+            "{text}"
+        );
     }
 }

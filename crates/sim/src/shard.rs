@@ -378,8 +378,8 @@ pub fn merge_partials(partials: &[ShardPartial]) -> Result<MergedCampaign, Merge
 ///
 /// Note the pooled-campaign seeding: experiment `(fi, ei)` runs under
 /// [`experiment_seed`]`(seed, fi, ei)`, exactly like `pamr shard` /
-/// [`Campaign::run_pooled`] — not like the standalone `fig7` binary, which
-/// feeds its master seed to every experiment unchanged.
+/// [`Campaign::run_pooled`] — not like `pamr fig7`, which feeds its master
+/// seed to every experiment unchanged.
 pub fn merge_figures(partials: &[ShardPartial]) -> Result<Vec<Vec<ExperimentResult>>, MergeError> {
     let (_, ordered) = validate_and_order(partials)?;
     let mut figures: Vec<Vec<ExperimentResult>> = campaign_figures()

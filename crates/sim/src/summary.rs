@@ -109,7 +109,7 @@ impl Summary {
     ///
     /// Contains only seed-determined quantities: given the same seed the
     /// text is byte-identical at any thread count. Wall-clock figures live
-    /// in [`Summary::render_timings`], which the binary prints to stderr.
+    /// in [`Summary::render_timings`], which `pamr summary` prints to stderr.
     pub fn render(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "§6.4 summary statistics (paper → measured)");
@@ -154,7 +154,7 @@ impl Summary {
         s
     }
 
-    /// The full deterministic stdout report of the `summary` binary: the
+    /// The full deterministic stdout report of `pamr summary`: the
     /// §6.4 table plus the pooled-instance count. `pamr merge` prints the
     /// same string, so a sharded campaign reproduces the single-process
     /// report byte-for-byte (the CI `shard-merge` job diffs the two).
