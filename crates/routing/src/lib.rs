@@ -80,7 +80,7 @@ pub use heuristic::{
     SURROGATE_PENALTY,
 };
 pub use ig::{ImprovedGreedy, ReferenceImprovedGreedy};
-pub use loadq::LoadQueue;
+pub use loadq::{LoadQueue, LoadTree};
 pub use multipath::{FwMp, SplitMp};
 pub use pr::{PathRemover, PrError, ReferencePathRemover};
 pub use precompute::{CostLadder, CustomizedInstance, EndpointTables, MeshPrecompute};

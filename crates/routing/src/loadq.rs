@@ -30,6 +30,13 @@
 //! order `select_max` yields for `k = 0, 1, …`. The queue only ever holds
 //! strictly positive loads, which `crates/routing/tests/loadq_prop.rs` pins
 //! against the naive sort under arbitrary operation interleavings.
+//!
+//! XYI and IG resume a walk below a rejected link, which needs the ordered
+//! set behind the [`Cursor`]. Path-Remover never rejects a link: its index
+//! holds only links that host a removal, so it asks for nothing but the
+//! maximum after each re-key. [`LoadTree`] serves exactly that — the same
+//! key order on a flat array tournament tree, `O(log slots)` per re-key
+//! with no allocation and an `O(1)` [`LoadTree::peek_max`].
 
 use pamr_mesh::{LinkId, LoadMap};
 use std::cmp::Reverse;
@@ -233,6 +240,134 @@ impl Cursor {
         }?;
         self.last = Some(k);
         Some((LinkId(k.1 .0), f64::from_bits(k.0)))
+    }
+}
+
+/// A flat array tournament tree over link slots: the max-load index for
+/// callers that only re-key links and read the maximum.
+///
+/// It keys links exactly like [`LoadQueue`] — descending load, ties towards
+/// the smaller link id, and only strictly positive loads count as present —
+/// but stores one `u64` load pattern per slot plus `2 · slots` `u32` winner
+/// nodes instead of an ordered set. Node `i` holds the winning slot of its
+/// children `2i` and `2i + 1`, leaf `slots + s` holds slot `s`, and node 1
+/// the overall winner. [`LoadTree::set`] replays the matches on one
+/// leaf-to-root path, stopping early once a match keeps a winner whose load
+/// did not change; nothing allocates after [`LoadTree::fit`].
+///
+/// ```
+/// use pamr_mesh::LinkId;
+/// use pamr_routing::LoadTree;
+///
+/// let mut t = LoadTree::new();
+/// t.rebuild(5, [(LinkId(0), 700.0), (LinkId(1), 1200.0), (LinkId(3), 700.0)]);
+/// assert_eq!(t.peek_max(), Some((LinkId(1), 1200.0)));
+///
+/// // A zero (or negative) load removes the link; ties go to the smaller id.
+/// t.set(LinkId(1), 0.0);
+/// assert_eq!(t.peek_max(), Some((LinkId(0), 700.0)));
+/// t.set(LinkId(0), 0.0);
+/// t.set(LinkId(3), 0.0);
+/// assert_eq!(t.peek_max(), None);
+/// ```
+#[derive(Debug, Default, Clone)]
+pub struct LoadTree {
+    /// Per-slot load bit pattern; `0` (the pattern of `+0.0`) = absent.
+    bits: Vec<u64>,
+    /// Winner slot per node, `2 · slots` entries (node 0 unused).
+    win: Vec<u32>,
+}
+
+impl LoadTree {
+    /// A new, empty tree. Size it with [`LoadTree::fit`] or
+    /// [`LoadTree::rebuild`] before use.
+    pub fn new() -> Self {
+        LoadTree::default()
+    }
+
+    /// Empties the tree and resizes it to `n_slots` link slots, keeping
+    /// allocations. `O(n_slots)`.
+    pub fn fit(&mut self, n_slots: usize) {
+        self.rebuild(n_slots, std::iter::empty());
+    }
+
+    /// Bulk rebuild: [`LoadTree::fit`] to `n_slots`, then key every
+    /// `(link, load)` of `entries` with a strictly positive load. Replays
+    /// the matches once, bottom-up: `O(n_slots + entries)`.
+    pub fn rebuild<I>(&mut self, n_slots: usize, entries: I)
+    where
+        I: IntoIterator<Item = (LinkId, f64)>,
+    {
+        self.bits.clear();
+        self.bits.resize(n_slots, 0);
+        for (l, v) in entries {
+            self.bits[l.index()] = present(v);
+        }
+        self.win.clear();
+        self.win.resize(n_slots, 0);
+        // Leaves: slot ids, which index a mesh's link slots and so stay far
+        // below `u32::MAX`.
+        self.win.extend((0..n_slots).map(|s| s as u32));
+        for i in (1..n_slots).rev() {
+            self.win[i] = self.winner(self.win[2 * i], self.win[2 * i + 1]);
+        }
+    }
+
+    /// The load currently keyed for `link` (`0.0` when absent).
+    pub fn get(&self, link: LinkId) -> f64 {
+        f64::from_bits(self.bits[link.index()])
+    }
+
+    /// Re-keys `link` to load `v`; `v ≤ 0` (or NaN) removes it.
+    /// `O(log slots)`, no allocation.
+    pub fn set(&mut self, link: LinkId, v: f64) {
+        let slot = link.index();
+        let b = present(v);
+        if self.bits[slot] == b {
+            return;
+        }
+        self.bits[slot] = b;
+        let mut i = (self.bits.len() + slot) >> 1;
+        while i > 0 {
+            let w = self.winner(self.win[2 * i], self.win[2 * i + 1]);
+            // The other matches on the path only see a changed load
+            // through `slot`, so a kept winner other than `slot` ends the
+            // replay.
+            if w == self.win[i] && w as usize != slot {
+                return;
+            }
+            self.win[i] = w;
+            i >>= 1;
+        }
+    }
+
+    /// The most loaded link (smallest link id on ties), if any. `O(1)`.
+    pub fn peek_max(&self) -> Option<(LinkId, f64)> {
+        let w = *self.win.get(1)? as usize;
+        let b = self.bits[w];
+        (b != 0).then(|| (LinkId(w), f64::from_bits(b)))
+    }
+
+    /// The slot whose key wins the match of slots `a` and `b`.
+    #[inline]
+    fn winner(&self, a: u32, b: u32) -> u32 {
+        let (ka, kb) = (self.bits[a as usize], self.bits[b as usize]);
+        if ka > kb || (ka == kb && a < b) {
+            a
+        } else {
+            b
+        }
+    }
+}
+
+/// The tree's stored pattern for load `v`: its bits when strictly
+/// positive, `0` (absent) otherwise — including `-0.0` and NaN.
+#[inline]
+fn present(v: f64) -> u64 {
+    if v > 0.0 {
+        v.to_bits()
+    } else {
+        0
     }
 }
 

@@ -21,6 +21,18 @@
 //! the communication permanently falls back to the full sweep — a rare,
 //! always-correct escape hatch.
 //!
+//! The paper picks each removal by scanning links in decreasing load and,
+//! per link, communications in decreasing weight until one can lose the
+//! link. Most of that scan is rejections: links whose users are resolved
+//! or have the link dead, communications whose group would be left empty.
+//! The banded engine instead keeps, per link, the number of communications
+//! that *could* lose it — the link is alive for them in a diagonal group
+//! with at least two alive links — and indexes only the loaded links with
+//! a nonzero count in a [`LoadTree`]. Path cleaning already visits every
+//! link whose count changes, so the counts cost nothing extra, and the
+//! tree's maximum is exactly the link the scan would have stopped at. Only
+//! the candidate walk on that one link remains.
+//!
 //! Both implementations produce **bit-identical** routings, errors and load
 //! maps: they kill the same links in the same order and perform the same
 //! floating-point operations per link. `tests/pr_differential.rs` enforces
@@ -34,7 +46,7 @@
 use crate::comm::CommSet;
 use crate::engine::EngineSel;
 use crate::heuristic::Heuristic;
-use crate::loadq::LoadQueue;
+use crate::loadq::LoadTree;
 use crate::precompute::EndpointTables;
 use crate::routing::Routing;
 use crate::scratch::{reset_flags, RouteScratch};
@@ -60,8 +72,10 @@ pub use reference::ReferencePathRemover;
 /// each diagonal crossing. The process ends when every communication has
 /// exactly one remaining path.
 ///
-/// This is the banded incremental implementation (see the module docs);
-/// [`ReferencePathRemover`] is the bit-identical full-sweep oracle.
+/// This is the banded incremental implementation (see the module docs): it
+/// reads the removal's link straight off a tree of removable loaded links
+/// instead of scanning and rejecting links. [`ReferencePathRemover`] is the
+/// bit-identical full-sweep oracle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PathRemover;
 
@@ -150,12 +164,12 @@ fn iv_intersect(a: Iv, b: Iv) -> Iv {
 }
 
 /// The reusable per-removal buffers the banded engine borrows from
-/// [`RouteScratch`], split out so the candidate scan can keep reading
+/// [`RouteScratch`], split out so the candidate walk can keep reading
 /// `scratch.xusers` while a removal mutates these.
 struct BandBufs<'a> {
     loads: &'a mut LoadMap,
-    queue: &'a mut LoadQueue,
-    live: &'a [u32],
+    tree: &'a mut LoadTree,
+    removable: &'a mut [u32],
     fwd_iv: &'a mut Vec<Iv>,
     bwd_iv: &'a mut Vec<Iv>,
     rows: &'a mut Vec<bool>,
@@ -164,16 +178,27 @@ struct BandBufs<'a> {
 }
 
 impl BandBufs<'_> {
-    /// [`LoadMap::add`] that also keeps the shared [`LoadQueue`] in sync:
-    /// the queue holds exactly the links with strictly positive load and at
-    /// least one unresolved user. The load *values* are bit-identical to
-    /// the full-sweep oracle's (same operations per link in the same
-    /// order), so the queue's descending iteration reproduces its
-    /// loaded-link scan order exactly.
+    /// [`LoadMap::add`] that also keeps the [`LoadTree`] in sync: the tree
+    /// holds exactly the links with strictly positive load and a nonzero
+    /// `removable` count. The load *values* are bit-identical to the
+    /// full-sweep oracle's (same operations per link in the same order), so
+    /// the tree's maximum is the first link of the oracle's loaded-link scan
+    /// that has a removable candidate.
     fn add_load(&mut self, l: LinkId, delta: f64) {
         self.loads.add(l, delta);
-        if self.live[l.index()] > 0 {
-            self.queue.set(l, self.loads.get(l));
+        if self.removable[l.index()] > 0 {
+            self.tree.set(l, self.loads.get(l));
+        }
+    }
+
+    /// One communication can no longer lose `l` (it died in, or is the last
+    /// survivor of, a multi-link group): decrement its `removable` count,
+    /// dropping the link from the tree when no candidate is left.
+    fn retire(&mut self, l: LinkId) {
+        let r = &mut self.removable[l.index()];
+        *r -= 1;
+        if *r == 0 {
+            self.tree.set(l, 0.0);
         }
     }
 }
@@ -331,8 +356,14 @@ impl BandedComm {
         (t_rm, j_rm): (usize, usize),
         bufs: &mut BandBufs<'_>,
     ) -> Result<(), PrError> {
-        // Subtract the removed link's current share and kill it.
-        bufs.add_load(self.band.group(t_rm)[j_rm], -self.share[t_rm]);
+        // Subtract the removed link's current share and kill it. (`counts`
+        // still includes it; the cleaning below reads the pre-removal
+        // counts.)
+        let l_rm = self.band.group(t_rm)[j_rm];
+        if self.counts[t_rm] >= 2 {
+            bufs.retire(l_rm);
+        }
+        bufs.add_load(l_rm, -self.share[t_rm]);
         self.alive[t_rm][j_rm] = false;
 
         if self.fragmented {
@@ -404,36 +435,10 @@ impl BandedComm {
             } else {
                 self.reach[t + 1]
             };
-            let g = self.band.group(t);
-            let old_share = self.share[t];
             let old_count = self.counts[t];
-            let mut count = 0usize;
-            for (j, &l) in g.iter().enumerate() {
-                if self.alive[t][j] {
-                    let (from, to) = mesh.link_endpoints(l);
-                    if iv_contains(fwd_t, from.u) && iv_contains(bwd_t1, to.u) {
-                        count += 1;
-                    } else {
-                        self.alive[t][j] = false;
-                        bufs.add_load(l, -old_share);
-                    }
-                }
-            }
-            if count == 0 {
-                return Err(PrError::EmptiedGroup { comm: ci, group: t });
-            }
-            let new_share = self.weight / count as f64;
-            // Exact comparison: an unchanged count reproduces the identical
-            // quotient, so untouched groups skip the load updates entirely.
-            if new_share != old_share {
-                for (j, &l) in g.iter().enumerate() {
-                    if self.alive[t][j] {
-                        bufs.add_load(l, new_share - old_share);
-                    }
-                }
-                self.share[t] = new_share;
-            }
-            self.counts[t] = count;
+            let count = self.clean_group(mesh, ci, t, bufs, |_, from, to| {
+                iv_contains(fwd_t, from.u) && iv_contains(bwd_t1, to.u)
+            })?;
             if old_count > 1 && count == 1 {
                 self.multi -= 1;
             }
@@ -493,39 +498,85 @@ impl BandedComm {
             }
         }
         self.multi = 0;
-        for (t, g) in self.band.groups().enumerate() {
-            let old_share = self.share[t];
-            let mut count = 0usize;
-            for (j, &l) in g.iter().enumerate() {
-                if self.alive[t][j] {
-                    let (from, to) = mesh.link_endpoints(l);
-                    if bufs.fwd[mesh.core_index(from)] && bufs.bwd[mesh.core_index(to)] {
-                        count += 1;
-                    } else {
-                        self.alive[t][j] = false;
-                        bufs.add_load(l, -old_share);
-                    }
-                }
-            }
-            if count == 0 {
-                return Err(PrError::EmptiedGroup { comm: ci, group: t });
-            }
-            let new_share = self.weight / count as f64;
-            if new_share != old_share {
-                for (j, &l) in g.iter().enumerate() {
-                    if self.alive[t][j] {
-                        bufs.add_load(l, new_share - old_share);
-                    }
-                }
-                self.share[t] = new_share;
-            }
-            self.counts[t] = count;
+        for t in 0..self.band.len() {
+            let count = self.clean_group(mesh, ci, t, bufs, |b, from, to| {
+                b.fwd[mesh.core_index(from)] && b.bwd[mesh.core_index(to)]
+            })?;
             if count > 1 {
                 self.multi += 1;
             }
         }
         self.fragmented = !self.rebuild_reach(mesh, bufs.fwd, bufs.bwd);
         Ok(())
+    }
+
+    /// Path cleaning of diagonal group `t`: kills every alive link whose
+    /// endpoints fail `keep`, re-shares the weight over the survivors and
+    /// retires the links this communication can no longer lose — every
+    /// killed link of a multi-link group, and the survivor of a group
+    /// reduced to one link. Returns the new alive count, or
+    /// [`PrError::EmptiedGroup`] when nothing survives.
+    fn clean_group(
+        &mut self,
+        mesh: &Mesh,
+        ci: usize,
+        t: usize,
+        bufs: &mut BandBufs<'_>,
+        keep: impl Fn(&BandBufs<'_>, Coord, Coord) -> bool,
+    ) -> Result<usize, PrError> {
+        let g = self.band.group(t);
+        let old_share = self.share[t];
+        let old_count = self.counts[t];
+        let mut count = 0usize;
+        let mut kept = None;
+        for (j, &l) in g.iter().enumerate() {
+            if self.alive[t][j] {
+                let (from, to) = mesh.link_endpoints(l);
+                if keep(bufs, from, to) {
+                    count += 1;
+                    kept = Some(l);
+                } else {
+                    self.alive[t][j] = false;
+                    if old_count >= 2 {
+                        bufs.retire(l);
+                    }
+                    bufs.add_load(l, -old_share);
+                }
+            }
+        }
+        let Some(kept) = kept else {
+            return Err(PrError::EmptiedGroup { comm: ci, group: t });
+        };
+        if old_count >= 2 && count == 1 {
+            bufs.retire(kept);
+        }
+        let new_share = self.weight / count as f64;
+        // Exact comparison: an unchanged count reproduces the identical
+        // quotient, so untouched groups skip the load updates entirely.
+        if new_share != old_share {
+            for (j, &l) in g.iter().enumerate() {
+                if self.alive[t][j] {
+                    bufs.add_load(l, new_share - old_share);
+                }
+            }
+            self.share[t] = new_share;
+        }
+        self.counts[t] = count;
+        Ok(count)
+    }
+
+    /// Adds one to `removable` for every link this communication could
+    /// lose: each alive link of a group with at least two alive links.
+    fn count_removable(&self, removable: &mut [u32]) {
+        for (t, g) in self.band.groups().enumerate() {
+            if self.counts[t] >= 2 {
+                for (j, &l) in g.iter().enumerate() {
+                    if self.alive[t][j] {
+                        removable[l.index()] += 1;
+                    }
+                }
+            }
+        }
     }
 
     /// Rebuilds the per-diagonal useful-core intervals from a full sweep's
@@ -644,137 +695,14 @@ impl PathRemover {
         scratch: &mut RouteScratch,
     ) -> Result<Routing, PrError> {
         let mesh = cs.mesh();
-        // Per-comm removal state — band geometry and pristine row
-        // intervals come from the interned endpoint tables when the
-        // precompute cache is active (Arc clones, no Band::new), and are
-        // rebuilt from the mesh otherwise.
-        let use_cache = scratch.ensure_customized(cs);
-        let mut comms: Vec<BandedComm> = match scratch.cust.as_ref().filter(|_| use_cache) {
-            Some(cust) => cs
-                .comms()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| BandedComm::new(mesh, c.src, c.snk, c.weight, Some(cust.table(i))))
-                .collect(),
-            None => cs
-                .comms()
-                .iter()
-                .map(|c| BandedComm::new(mesh, c.src, c.snk, c.weight, None))
-                .collect(),
-        };
-        scratch.loads.fit(mesh);
-        for c in &comms {
-            c.apply_loads(&mut scratch.loads, 1.0);
-        }
-        // Which communications' bands contain each link (static superset,
-        // built flat-CSR in two counting passes over the bands).
-        let nslots = mesh.num_link_slots();
-        scratch.xusers.rebuild(nslots, |push| {
-            for (i, c) in comms.iter().enumerate() {
-                for l in c.band.links() {
-                    push(l.index(), i as u32);
-                }
-            }
-        });
-        // Presort each occupied link's users by decreasing weight (ties
-        // towards the smaller index) once: the weights are static, so this
-        // yields exactly the candidate order the full-sweep oracle re-sorts
-        // per examined link. `sort_rows_by` visits only the rows the
-        // rebuild populated — sorting the empty slots was a no-op anyway.
-        // total_cmp orders these finite positive weights identically to
-        // partial_cmp and removes the NaN panic path.
-        scratch.xusers.sort_rows_by(|a, b| {
-            let (a, b) = (a as usize, b as usize);
-            comms[b].weight.total_cmp(&comms[a].weight).then(a.cmp(&b))
-        });
-        // Per-link unresolved-user counts: a link none of whose users is
-        // unresolved is rejected by the candidate scan without effect, so
-        // skipping it up front cannot change which link hosts the next
-        // removal — it only spares the scan. Decremented for a comm's whole
-        // band when the comm resolves.
-        scratch.live_users.clear();
-        scratch.live_users.resize(nslots, 0);
-        for c in &comms {
-            if !c.resolved() {
-                for l in c.band.links() {
-                    scratch.live_users[l.index()] += 1;
-                }
-            }
-        }
-
-        // Shared loaded-link priority queue ([`LoadQueue`]): exactly the
-        // links with positive load and at least one unresolved user, whose
-        // descending iteration yields decreasing load with ties towards the
-        // smaller link id — the full-sweep oracle's scan order. Maintained
-        // incrementally by [`BandBufs::add_load`] instead of being rebuilt
-        // (and re-scanned, O(links²)) on every removal.
-        {
-            let live = &scratch.live_users;
-            scratch.queue.rebuild(
-                nslots,
-                scratch
-                    .loads
-                    .iter_active()
-                    .filter(|(l, _)| live[l.index()] > 0),
-            );
-        }
-
-        // Iteratively remove the most loaded link from the largest
-        // removable communication crossing it.
+        let mut comms = start_banded(cs, scratch);
         let mut unresolved = comms.iter().filter(|c| !c.resolved()).count();
         while unresolved > 0 {
-            let mut removed = false;
-            // Examine queued links in decreasing-load order; rejected links
-            // keep their key, so the scan resumes strictly below the
-            // cursor.
-            let mut cursor = scratch.queue.cursor();
-            'links: while let Some((link, _)) = cursor.next(&scratch.queue) {
-                // Candidates in presorted decreasing-weight order.
-                for &i in scratch.xusers.row(link.index()) {
-                    let i = i as usize;
-                    if comms[i].resolved() {
-                        continue;
-                    }
-                    // Removable iff the link is alive for the communication
-                    // and its group keeps another alive link (every alive
-                    // link lies on some path after cleaning, so a sibling
-                    // link guarantees a surviving path).
-                    if let Some((t, j, count)) = comms[i].locate(mesh, link) {
-                        if count >= 2 {
-                            let mut bufs = BandBufs {
-                                loads: &mut scratch.loads,
-                                queue: &mut scratch.queue,
-                                live: &scratch.live_users,
-                                fwd_iv: &mut scratch.fwd_iv,
-                                bwd_iv: &mut scratch.bwd_iv,
-                                rows: &mut scratch.rows,
-                                fwd: &mut scratch.fwd,
-                                bwd: &mut scratch.bwd,
-                            };
-                            comms[i].remove_and_reshare(mesh, i, (t, j), &mut bufs)?;
-                            if comms[i].resolved() {
-                                unresolved -= 1;
-                                for l in comms[i].band.links() {
-                                    let slot = l.index();
-                                    scratch.live_users[slot] -= 1;
-                                    if scratch.live_users[slot] == 0 {
-                                        scratch.queue.set(l, 0.0);
-                                    }
-                                }
-                            }
-                            removed = true;
-                            break 'links;
-                        }
-                    }
-                }
-            }
-            // An unresolved communication always has a removable link;
-            // failing that is a structural error in both builds.
-            if !removed {
-                return Err(PrError::Stuck { unresolved });
+            let i = remove_next(mesh, &mut comms, scratch, unresolved)?;
+            if comms[i].resolved() {
+                unresolved -= 1;
             }
         }
-
         let paths = comms
             .iter()
             .enumerate()
@@ -782,6 +710,120 @@ impl PathRemover {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Routing::single(cs, paths))
     }
+}
+
+/// Builds the banded engine's per-communication removal state and seeds
+/// the scratch: the fractional loads, the presorted crossing index, the
+/// `removable` counts and the tree of removable loaded links.
+fn start_banded(cs: &CommSet, scratch: &mut RouteScratch) -> Vec<BandedComm> {
+    let mesh = cs.mesh();
+    // Band geometry and pristine row intervals come from the interned
+    // endpoint tables when the precompute cache is active (Arc clones, no
+    // Band::new), and are rebuilt from the mesh otherwise.
+    let use_cache = scratch.ensure_customized(cs);
+    let comms: Vec<BandedComm> = match scratch.cust.as_ref().filter(|_| use_cache) {
+        Some(cust) => cs
+            .comms()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| BandedComm::new(mesh, c.src, c.snk, c.weight, Some(cust.table(i))))
+            .collect(),
+        None => cs
+            .comms()
+            .iter()
+            .map(|c| BandedComm::new(mesh, c.src, c.snk, c.weight, None))
+            .collect(),
+    };
+    scratch.loads.fit(mesh);
+    for c in &comms {
+        c.apply_loads(&mut scratch.loads, 1.0);
+    }
+    // Which communications' bands contain each link (static superset,
+    // built flat-CSR in two counting passes over the bands).
+    let nslots = mesh.num_link_slots();
+    scratch.xusers.rebuild(nslots, |push| {
+        for (i, c) in comms.iter().enumerate() {
+            for l in c.band.links() {
+                push(l.index(), i as u32);
+            }
+        }
+    });
+    // Presort each occupied link's users by decreasing weight (ties
+    // towards the smaller index) once: the weights are static, so this
+    // yields exactly the candidate order the full-sweep oracle re-sorts
+    // per examined link. `sort_rows_by` visits only the rows the rebuild
+    // populated. total_cmp orders these finite positive weights
+    // identically to partial_cmp and removes the NaN panic path.
+    scratch.xusers.sort_rows_by(|a, b| {
+        let (a, b) = (a as usize, b as usize);
+        comms[b].weight.total_cmp(&comms[a].weight).then(a.cmp(&b))
+    });
+    // Per-link count of the communications that could lose the link; path
+    // cleaning keeps it exact from here on ([`BandBufs::retire`]).
+    scratch.removable.clear();
+    scratch.removable.resize(nslots, 0);
+    for c in &comms {
+        c.count_removable(&mut scratch.removable);
+    }
+    // The tree holds exactly the links with positive load and a nonzero
+    // count, keyed by decreasing load with ties towards the smaller link
+    // id — the full-sweep oracle's scan order, minus every link that scan
+    // would reject.
+    let removable = &scratch.removable;
+    scratch.tree.rebuild(
+        nslots,
+        scratch
+            .loads
+            .iter_active()
+            .filter(|(l, _)| removable[l.index()] > 0),
+    );
+    comms
+}
+
+/// Performs one removal and returns the index of the communication that
+/// lost a link: the tree's most loaded link, taken from the heaviest
+/// communication (smallest index on ties) that can lose it — the link and
+/// communication the full-sweep oracle's scan stops at. `unresolved` only
+/// labels the error when no link is removable.
+fn remove_next(
+    mesh: &Mesh,
+    comms: &mut [BandedComm],
+    scratch: &mut RouteScratch,
+    unresolved: usize,
+) -> Result<usize, PrError> {
+    // The tree only keys links that some communication can lose, so the
+    // first candidate that has the link alive in a multi-link group (every
+    // alive link lies on some path after cleaning, so a sibling link
+    // guarantees a surviving path) hosts the removal. An unresolved
+    // communication always has a removable link, and a keyed link always
+    // has a candidate; failing either is a structural error in both
+    // builds, never a spin.
+    let target = scratch.tree.peek_max().and_then(|(link, _)| {
+        scratch.xusers.row(link.index()).iter().find_map(|&i| {
+            let c = &comms[i as usize];
+            if c.resolved() {
+                return None;
+            }
+            c.locate(mesh, link)
+                .filter(|&(_, _, count)| count >= 2)
+                .map(|(t, j, _)| (i as usize, t, j))
+        })
+    });
+    let Some((i, t, j)) = target else {
+        return Err(PrError::Stuck { unresolved });
+    };
+    let mut bufs = BandBufs {
+        loads: &mut scratch.loads,
+        tree: &mut scratch.tree,
+        removable: &mut scratch.removable,
+        fwd_iv: &mut scratch.fwd_iv,
+        bwd_iv: &mut scratch.bwd_iv,
+        rows: &mut scratch.rows,
+        fwd: &mut scratch.fwd,
+        bwd: &mut scratch.bwd,
+    };
+    comms[i].remove_and_reshare(mesh, i, (t, j), &mut bufs)?;
+    Ok(i)
 }
 
 impl Heuristic for PathRemover {
@@ -981,9 +1023,17 @@ mod tests {
         reference.apply_loads(&mut loads_r, 1.0);
         let mut scratch = crate::RouteScratch::new();
         let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
-        // Not testing queue maintenance here: an all-zero live-user table
-        // keeps `add_load` from touching the (unused) queue.
-        let live = vec![0u32; mesh.num_link_slots()];
+        // The real removable table and tree for this one communication, so
+        // the retirements of every cleaning pass run against live state.
+        let mut removable = vec![0u32; mesh.num_link_slots()];
+        banded.count_removable(&mut removable);
+        let mut tree = LoadTree::new();
+        tree.rebuild(
+            mesh.num_link_slots(),
+            loads_b
+                .iter_active()
+                .filter(|(l, _)| removable[l.index()] > 0),
+        );
 
         // Group 1 holds the four links leaving diagonal 1; find the two
         // links entering the middle core (1,1) of diagonal 2.
@@ -999,8 +1049,8 @@ mod tests {
         for (step, &j) in into_middle.iter().enumerate() {
             let mut bufs = BandBufs {
                 loads: &mut loads_b,
-                queue: &mut scratch.queue,
-                live: &live,
+                tree: &mut tree,
+                removable: &mut removable,
                 fwd_iv: &mut scratch.fwd_iv,
                 bwd_iv: &mut scratch.bwd_iv,
                 rows: &mut scratch.rows,
@@ -1044,8 +1094,8 @@ mod tests {
                 .expect("unresolved comm has a multi-link group");
             let mut bufs = BandBufs {
                 loads: &mut loads_b,
-                queue: &mut scratch.queue,
-                live: &live,
+                tree: &mut tree,
+                removable: &mut removable,
                 fwd_iv: &mut scratch.fwd_iv,
                 bwd_iv: &mut scratch.bwd_iv,
                 rows: &mut scratch.rows,
@@ -1069,6 +1119,9 @@ mod tests {
             flag_history.push(banded.fragmented);
         }
         assert_eq!(banded.resolved(), reference.resolved);
+        // Resolution retired every link: nothing is left to remove.
+        assert!(removable.iter().all(|&r| r == 0), "{removable:?}");
+        assert_eq!(tree.peek_max(), None);
         // The workload fragmented the band mid-run…
         assert!(flag_history.iter().any(|&f| f), "workload never fragmented");
         // …and the rebuilt intervals un-stuck it before resolution: the
@@ -1087,6 +1140,118 @@ mod tests {
             unstuck_at < flag_history.len() - 1,
             "un-sticking must happen before the final removal so later \
              removals exercise the banded path (history: {flag_history:?})"
+        );
+    }
+
+    /// Recounts, from the alive sets alone, the communications that could
+    /// lose each link, and checks the maintained `removable` table and the
+    /// tree against it: the tree must hold exactly the links with positive
+    /// load and a nonzero count, each keyed to its exact load.
+    fn assert_removable_exact(mesh: &Mesh, comms: &[BandedComm], scratch: &RouteScratch) {
+        let mut expected = vec![0u32; mesh.num_link_slots()];
+        for c in comms {
+            for (t, g) in c.band.groups().enumerate() {
+                let alive = c.alive[t].iter().filter(|&&a| a).count();
+                assert_eq!(alive, c.counts[t], "stale alive count");
+                if alive >= 2 {
+                    for (&l, _) in g.iter().zip(&c.alive[t]).filter(|(_, &a)| a) {
+                        expected[l.index()] += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(scratch.removable, expected, "removable counts drifted");
+        for l in mesh.links() {
+            let load = scratch.loads.get(l);
+            let member = load > 0.0 && expected[l.index()] > 0;
+            let keyed = scratch.tree.get(l);
+            assert_eq!(keyed > 0.0, member, "tree membership of {l} is wrong");
+            if member {
+                assert_eq!(keyed.to_bits(), load.to_bits(), "tree key of {l} is stale");
+            }
+        }
+    }
+
+    #[test]
+    fn removable_counts_and_tree_membership_stay_exact() {
+        // Route random instances one removal at a time, checking the
+        // maintained counts and the tree after every step. Small meshes
+        // with many communications cover all four quadrants, straight
+        // lines, local traffic and bands that fragment into the
+        // full-sweep fallback; the tallies below make sure they do.
+        let mut scratch = crate::RouteScratch::new();
+        let mut quadrants = [0usize; 4];
+        let (mut straight, mut local, mut fragmented) = (0, 0, 0);
+        for seed in 0..48u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (p, q) = (rng.gen_range(2..=7), rng.gen_range(2..=7));
+            let mesh = Mesh::new(p, q);
+            let n = rng.gen_range(1..=16);
+            let comms = (0..n)
+                .map(|_| {
+                    Comm::new(
+                        Coord::new(rng.gen_range(0..p), rng.gen_range(0..q)),
+                        Coord::new(rng.gen_range(0..p), rng.gen_range(0..q)),
+                        rng.gen_range(1.0..100.0),
+                    )
+                })
+                .collect();
+            let cs = CommSet::new(mesh, comms);
+            for c in cs.comms() {
+                if c.src == c.snk {
+                    local += 1;
+                } else if c.src.u == c.snk.u || c.src.v == c.snk.v {
+                    straight += 1;
+                } else {
+                    let q = 2 * usize::from(c.src.u > c.snk.u) + usize::from(c.src.v > c.snk.v);
+                    quadrants[q] += 1;
+                }
+            }
+            let mut comms = start_banded(&cs, &mut scratch);
+            let mut unresolved = comms.iter().filter(|c| !c.resolved()).count();
+            assert_removable_exact(&mesh, &comms, &scratch);
+            while unresolved > 0 {
+                let i = remove_next(&mesh, &mut comms, &mut scratch, unresolved).unwrap();
+                if comms[i].resolved() {
+                    unresolved -= 1;
+                }
+                fragmented += usize::from(comms[i].fragmented);
+                assert_removable_exact(&mesh, &comms, &scratch);
+            }
+            assert_eq!(
+                scratch.tree.peek_max(),
+                None,
+                "seed {seed}: tree not drained"
+            );
+        }
+        assert!(quadrants.iter().all(|&n| n > 0), "quadrants {quadrants:?}");
+        assert!(
+            straight > 0 && local > 0,
+            "straight {straight}, local {local}"
+        );
+        assert!(fragmented > 0, "no removal fragmented a band");
+    }
+
+    #[test]
+    fn a_keyed_link_without_candidates_is_stuck_not_a_spin() {
+        // Corrupt the tree so its maximum is a link no communication can
+        // lose: the removal step must report the breach as a structured
+        // error instead of looping or panicking.
+        let mesh = Mesh::new(4, 4);
+        let cs = CommSet::new(
+            mesh,
+            vec![Comm::new(Coord::new(0, 0), Coord::new(1, 1), 2.0)],
+        );
+        let mut scratch = crate::RouteScratch::new();
+        let mut comms = start_banded(&cs, &mut scratch);
+        let far = mesh
+            .links()
+            .find(|&l| scratch.xusers.row(l.index()).is_empty())
+            .unwrap();
+        scratch.tree.set(far, 1e9);
+        assert_eq!(
+            remove_next(&mesh, &mut comms, &mut scratch, 1),
+            Err(PrError::Stuck { unresolved: 1 })
         );
     }
 

@@ -12,7 +12,7 @@
 use crate::comm::CommSet;
 use crate::csr::CrossingIndex;
 use crate::engine::EngineConfig;
-use crate::loadq::LoadQueue;
+use crate::loadq::{LoadQueue, LoadTree};
 use crate::precompute::{CostLadder, CustomizedInstance, MeshPrecompute};
 use pamr_mesh::{LinkId, LoadMap};
 use pamr_power::PowerModel;
@@ -55,13 +55,17 @@ pub struct RouteScratch {
     pub(crate) xusers: CrossingIndex,
     /// Candidate-communication index buffer (PR's per-link scan).
     pub(crate) cands: Vec<usize>,
-    /// Per-link count of *unresolved* communications whose band contains
-    /// the link (banded PR): links with no unresolved user can never host a
-    /// removal, so the loaded-link scan skips them wholesale.
-    pub(crate) live_users: Vec<u32>,
-    /// Shared loaded-link priority queue ([`LoadQueue`]): the banded PR
-    /// keys it to the links with unresolved users, queue-driven XYI to
-    /// every loaded link. Its descending order is exactly the
+    /// Per-link count of the communications that could lose the link
+    /// (banded PR): those for which it is alive in a diagonal group that
+    /// still has at least two alive links. Maintained by path cleaning; a
+    /// link whose count is zero cannot host a removal.
+    pub(crate) removable: Vec<u32>,
+    /// Banded PR's max-load index ([`LoadTree`]): exactly the links with
+    /// positive load and a nonzero `removable` count, so its maximum is the
+    /// link the next removal takes.
+    pub(crate) tree: LoadTree,
+    /// Queue-driven XYI's loaded-link index ([`LoadQueue`]): every loaded
+    /// link, walked by a resumable cursor in exactly the
     /// [`select_max`](crate::loadq::select_max) order.
     pub(crate) queue: LoadQueue,
     /// Per-diagonal forward reachable-interval run (banded PR): the row

@@ -1,5 +1,6 @@
-//! Property tests pinning [`pamr_routing::LoadQueue`] against the naive
-//! selection scan it replaces.
+//! Property tests pinning [`pamr_routing::LoadQueue`] and
+//! [`pamr_routing::LoadTree`] against the naive selection scan they
+//! replace.
 //!
 //! The queue's contract is *order-exact*: after any interleaving of bulk
 //! rebuilds, eager updates, lazy invalidations (+ refresh) and partial
@@ -15,7 +16,7 @@
 
 use pamr_mesh::LinkId;
 use pamr_routing::loadq::select_max;
-use pamr_routing::LoadQueue;
+use pamr_routing::{LoadQueue, LoadTree};
 use proptest::prelude::*;
 
 /// Number of link slots the modelled queue operates over.
@@ -64,6 +65,38 @@ fn naive_order(model: &[f64]) -> Vec<(LinkId, f64)> {
         k += 1;
     }
     out
+}
+
+/// The load a [`LoadTree`] property step writes: small integers for ties,
+/// `0` for "absent", and a negative value, which must also read as absent.
+fn tree_load(code: u32) -> f64 {
+    if code == 7 {
+        -1.0
+    } else {
+        f64::from(code) * 0.5
+    }
+}
+
+/// Asserts that `t` reports the naive maximum over `model` bit for bit,
+/// and keys every slot (padding included) to its positive model load.
+fn assert_tree_matches(t: &LoadTree, model: &[f64]) {
+    let mut active: Vec<(LinkId, f64)> = model
+        .iter()
+        .enumerate()
+        .filter(|(_, &v)| v > 0.0)
+        .map(|(i, &v)| (LinkId(i), v))
+        .collect();
+    let expected = select_max(&mut active, 0);
+    let got = t.peek_max();
+    assert_eq!(got, expected);
+    assert_eq!(
+        got.map(|(_, v)| v.to_bits()),
+        expected.map(|(_, v)| v.to_bits())
+    );
+    for (i, &v) in model.iter().enumerate() {
+        let keyed = if v > 0.0 { v } else { 0.0 };
+        assert_eq!(t.get(LinkId(i)).to_bits(), keyed.to_bits(), "slot {i}");
+    }
 }
 
 /// Drains a fresh cursor and asserts it equals the naive order over the
@@ -170,5 +203,58 @@ proptest! {
         };
         prop_assert_eq!(drain(&by_rebuild), drain(&by_sets));
         prop_assert_eq!(drain(&by_rebuild), naive_order(&loads));
+    }
+
+    #[test]
+    fn tree_peek_max_is_the_naive_maximum_after_any_sets(
+        pad in 0usize..=9,
+        init in prop::collection::vec(0u32..=7, 0..=SLOTS),
+        sets in prop::collection::vec((0..SLOTS, 0u32..=7), 0..=64),
+    ) {
+        // The tree is fitted to `pad` slots more than the model ever
+        // writes: padding must never surface as a maximum.
+        let n = SLOTS + pad;
+        let mut model = vec![0.0f64; n];
+        for (i, &code) in init.iter().enumerate() {
+            model[i] = tree_load(code);
+        }
+        let mut t = LoadTree::new();
+        t.rebuild(n, model.iter().enumerate().map(|(i, &v)| (LinkId(i), v)));
+        assert_tree_matches(&t, &model);
+        for &(l, code) in &sets {
+            model[l] = tree_load(code);
+            t.set(LinkId(l), model[l]);
+            assert_tree_matches(&t, &model);
+        }
+        // Draining every slot empties the tree.
+        for l in 0..n {
+            t.set(LinkId(l), 0.0);
+        }
+        prop_assert_eq!(t.peek_max(), None);
+    }
+
+    #[test]
+    fn tree_rebuild_equals_incremental_sets(
+        pad in 0usize..=9,
+        entries in prop::collection::vec((0..SLOTS, 0u32..=7), 0..=40),
+    ) {
+        // Bulk rebuild and per-link sets on a fitted tree agree on every
+        // slot and on the maximum (last write per link wins), also when
+        // the tree is refitted from an earlier, larger state.
+        let n = SLOTS + pad;
+        let mut model = vec![0.0f64; n];
+        for &(l, code) in &entries {
+            model[l] = tree_load(code);
+        }
+        let mut by_rebuild = LoadTree::new();
+        by_rebuild.rebuild(n, model.iter().enumerate().map(|(i, &v)| (LinkId(i), v)));
+        let mut by_sets = LoadTree::new();
+        by_sets.rebuild(n + 5, (0..n + 5).map(|i| (LinkId(i), 3.0)));
+        by_sets.fit(n);
+        for &(l, code) in &entries {
+            by_sets.set(LinkId(l), tree_load(code));
+        }
+        assert_tree_matches(&by_rebuild, &model);
+        assert_tree_matches(&by_sets, &model);
     }
 }

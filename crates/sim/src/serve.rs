@@ -27,7 +27,7 @@ use pamr_power::PowerModel;
 use pamr_routing::{Comm, MeshPrecompute, RoutingSession, SessionConfig, SlotId};
 use serde::Value;
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 
 /// A protocol server: a [`RoutingSession`] plus the wire-level id space
@@ -222,10 +222,20 @@ impl Server {
     }
 }
 
+/// The longest raw request line [`serve_lines`] accepts, in bytes before
+/// its newline (a `\r` of a CRLF ending counts). Requests are a few hundred
+/// bytes, so 1 MiB leaves ample room while bounding what one client can
+/// make the server hold.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Serves requests line by line from `input` to `out`, one response per
 /// request, flushing after each (a piped client sees its answer
 /// immediately). Blank lines are ignored; a line that is not UTF-8 gets a
-/// structured error response like any other malformed request.
+/// structured error response like any other malformed request. A line
+/// longer than [`MAX_LINE_BYTES`] is discarded through its newline without
+/// being buffered and answered with a `line too long` error, so the line
+/// buffer never exceeds the cap, even for a client that never sends a
+/// newline.
 pub fn serve_lines<R: BufRead, W: Write>(
     server: &mut Server,
     mut input: R,
@@ -234,15 +244,24 @@ pub fn serve_lines<R: BufRead, W: Write>(
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        if input.read_until(b'\n', &mut buf)? == 0 {
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        if input.by_ref().take(cap).read_until(b'\n', &mut buf)? == 0 {
             return Ok(());
         }
-        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        let response = match std::str::from_utf8(line) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => server.handle_line(line),
-            Err(e) => error_line(None, format!("invalid UTF-8: {e}")),
+        let response = if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            input.skip_until(b'\n')?;
+            error_line(
+                None,
+                format!("line too long: over {MAX_LINE_BYTES} bytes before the newline"),
+            )
+        } else {
+            let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            match std::str::from_utf8(line) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => server.handle_line(line),
+                Err(e) => error_line(None, format!("invalid UTF-8: {e}")),
+            }
         };
         writeln!(out, "{response}")?;
         out.flush()?;
@@ -472,6 +491,58 @@ mod tests {
         assert!(lines[0].contains("invalid UTF-8"), "{text}");
         assert!(
             lines[1].starts_with(r#"{"ok":true,"op":"power_report""#),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn overlong_line_is_discarded_and_serving_continues() {
+        let mut srv = server();
+        let mut input = vec![b'x'; 2 << 20];
+        input.extend_from_slice(b"\n{\"op\":\"power_report\"}\n");
+        let mut out = Vec::new();
+        serve_lines(&mut srv, &input[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(
+            lines[0].starts_with(r#"{"ok":false,"op":null,"error":"line too long: "#),
+            "{text}"
+        );
+        assert!(
+            lines[1].starts_with(r#"{"ok":true,"op":"power_report""#),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn endless_line_without_newline_is_answered_once() {
+        // 2 MiB and then end of input, no newline anywhere: one error, no
+        // request served, and the reader never buffers past the cap.
+        let mut srv = server();
+        let input = vec![b'{'; 2 << 20];
+        let mut out = Vec::new();
+        serve_lines(&mut srv, &input[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.contains("line too long"), "{text}");
+        assert_eq!(srv.session().len(), 0);
+    }
+
+    #[test]
+    fn a_line_at_the_cap_is_still_parsed() {
+        // Exactly MAX_LINE_BYTES before the newline is accepted: padded
+        // with trailing spaces, a valid request still gets its answer.
+        let mut srv = server();
+        let request = br#"{"op":"power_report"}"#;
+        let mut input = request.to_vec();
+        input.resize(MAX_LINE_BYTES, b' ');
+        input.push(b'\n');
+        let mut out = Vec::new();
+        serve_lines(&mut srv, &input[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.starts_with(r#"{"ok":true,"op":"power_report""#),
             "{text}"
         );
     }
