@@ -80,6 +80,48 @@ pub enum SortOrder {
     DecreasingDensity,
 }
 
+/// Why a [`CommSet`] fails [`CommSet::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum InvalidComm {
+    /// A source or sink lies off the mesh.
+    OffMesh {
+        /// Position of the communication in the instance.
+        index: usize,
+        /// The communication.
+        comm: Comm,
+        /// The instance's mesh.
+        mesh: Mesh,
+    },
+    /// The weight is zero, negative, infinite or NaN.
+    BadWeight {
+        /// Position of the communication in the instance.
+        index: usize,
+        /// The communication.
+        comm: Comm,
+    },
+}
+
+impl fmt::Display for InvalidComm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InvalidComm::OffMesh { index, comm, mesh } => write!(
+                f,
+                "communication {index} ({comm}) leaves the {}x{} mesh",
+                mesh.rows(),
+                mesh.cols()
+            ),
+            InvalidComm::BadWeight { index, comm } => write!(
+                f,
+                "communication {index} ({comm}) has weight {}; weights must be \
+                 strictly positive and finite",
+                comm.weight
+            ),
+        }
+    }
+}
+
+impl std::error::Error for InvalidComm {}
+
 /// A routing problem instance: the mesh plus the communications to route.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CommSet {
@@ -102,6 +144,26 @@ impl CommSet {
             );
         }
         CommSet { mesh, comms }
+    }
+
+    /// Checks what [`CommSet::new`] and [`Comm::new`] assert, for an
+    /// instance that bypassed them (the serde derives do): every endpoint
+    /// lies on the mesh and every weight is strictly positive and finite.
+    /// Reports the first offending communication.
+    pub fn validate(&self) -> Result<(), InvalidComm> {
+        for (index, c) in self.comms.iter().enumerate() {
+            if !(self.mesh.contains(c.src) && self.mesh.contains(c.snk)) {
+                return Err(InvalidComm::OffMesh {
+                    index,
+                    comm: *c,
+                    mesh: self.mesh,
+                });
+            }
+            if !(c.weight > 0.0 && c.weight.is_finite()) {
+                return Err(InvalidComm::BadWeight { index, comm: *c });
+            }
+        }
+        Ok(())
     }
 
     /// The mesh.
@@ -271,6 +333,40 @@ mod tests {
         let idx = cs.by_decreasing_weight();
         let pos = |i: usize| idx.iter().position(|&x| x == i).unwrap();
         assert!(pos(2) < pos(0), "5.0 must precede 2.0");
+    }
+
+    #[test]
+    fn validate_names_the_first_bad_communication() {
+        let mesh = Mesh::new(2, 2);
+        let ok = Comm::new(Coord::new(0, 0), Coord::new(1, 1), 1.0);
+        let off = Comm {
+            src: Coord::new(0, 0),
+            snk: Coord::new(2, 1),
+            weight: 1.0,
+        };
+        let cases = [
+            (0.0, "weight 0"),
+            (-5.0, "weight -5"),
+            (f64::NAN, "weight NaN"),
+        ];
+        assert_eq!(CommSet::new(mesh, vec![ok]).validate(), Ok(()));
+        for (weight, text) in cases {
+            // Built as deserialisation does: no constructor runs.
+            let bad = CommSet {
+                mesh,
+                comms: vec![ok, Comm { weight, ..ok }],
+            };
+            let err = bad.validate().unwrap_err();
+            assert!(matches!(err, InvalidComm::BadWeight { index: 1, .. }));
+            assert!(err.to_string().contains(text), "{err}");
+        }
+        let bad = CommSet {
+            mesh,
+            comms: vec![ok, ok, off],
+        };
+        let err = bad.validate().unwrap_err();
+        assert!(matches!(err, InvalidComm::OffMesh { index: 2, .. }));
+        assert!(err.to_string().contains("communication 2"), "{err}");
     }
 
     #[test]

@@ -26,16 +26,38 @@
 //! latency-minimal one for a fixed routing (uplift has no discrete step to
 //! buy), so the frontier degenerates to the portfolio's non-dominated
 //! base points.
+//!
+//! ## Dense state
+//!
+//! Link latencies live in a table indexed by link slot (0 on idle links),
+//! shared by the base point, the tightest latency and the uplift. The
+//! greedy uplift (`greedy_uplift`) also keeps each link's level in a
+//! slot-indexed array, flattens the candidate's `(comm, flow)` paths once
+//! into a CSR link list with a link → crossing-paths index, and caches
+//! every path's latency. An uplift changes one link's latency, so only the
+//! paths crossing that link are re-summed; the critical path is then
+//! found by rescanning the cached latencies.
+//!
+//! ## Bit identity
+//!
+//! A path latency is always the same `.sum()` over the path's link
+//! latencies in path order, so a cached value has the bits a full re-walk
+//! would give, and the critical path is the first one, in `(comm, flow)`
+//! order, strictly above every earlier one. Per-level terms (`1/level`,
+//! `(level·unit)^α`, the uplift score) are tabulated once, each the same
+//! expression a per-link evaluation would compute, and the final power
+//! sums the active links in ascending link order. Caching therefore
+//! changes no frontier bit; `crates/sim/tests/frontier_golden.rs` pins
+//! them.
 
 use crate::comm::CommSet;
-use crate::heuristic::{Heuristic, HeuristicKind};
+use crate::heuristic::HeuristicKind;
 use crate::multipath::FwMp;
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
 use pamr_mesh::LinkId;
 use pamr_power::{FrequencyScale, PowerModel};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Relative slack on latency-budget comparisons, mirroring the capacity
 /// slack of the power model.
@@ -91,20 +113,25 @@ impl FrontierProblem<'_> {
     /// The candidate routings, in deterministic order: the six §6 policies,
     /// then (for `split ≥ 2`) the Frank–Wolfe s-MP rounder.
     pub fn candidates(&self, scratch: &mut RouteScratch) -> Vec<Candidate> {
-        let mut out: Vec<Candidate> = HeuristicKind::ALL
+        let portfolio: Vec<Routing> = HeuristicKind::ALL
             .iter()
-            .map(|kind| Candidate {
-                label: kind.name().to_string(),
-                routing: kind.route_with(self.cs, self.model, scratch),
-            })
+            .map(|kind| kind.route_with(self.cs, self.model, scratch))
             .collect();
-        if self.split >= 2 {
-            out.push(Candidate {
-                label: format!("FW-MP(s={})", self.split),
-                routing: FwMp::new(self.split).route_with(self.cs, self.model, scratch),
-            });
-        }
-        out
+        // FW-MP's 1-MP floor is exactly these six routings: hand them over
+        // instead of routing the portfolio a second time.
+        let fwmp = (self.split >= 2).then(|| Candidate {
+            label: format!("FW-MP(s={})", self.split),
+            routing: FwMp::new(self.split).route_over(self.cs, self.model, &portfolio),
+        });
+        HeuristicKind::ALL
+            .iter()
+            .zip(portfolio)
+            .map(|(kind, routing)| Candidate {
+                label: kind.name().to_string(),
+                routing,
+            })
+            .chain(fwmp)
+            .collect()
     }
 
     /// The sweep's budgets: `segments` values linearly spaced from the
@@ -170,16 +197,30 @@ impl FrontierProblem<'_> {
     }
 }
 
+/// Per-slot latency table of a routing: `latency(load)` on every link
+/// with positive load, 0 on idle links; `None` when `latency` rejects some
+/// load.
+fn latency_table(
+    cs: &CommSet,
+    routing: &Routing,
+    latency: impl Fn(f64) -> Option<f64>,
+) -> Option<Vec<f64>> {
+    let loads = routing.loads(cs);
+    let mut table = vec![0.0; cs.mesh().num_link_slots()];
+    for (l, load) in loads.iter_active() {
+        table[l.index()] = latency(load)?;
+    }
+    Some(table)
+}
+
 /// Power and latency of a routing at its load-minimal levels; `None` when
 /// some link is overloaded.
 fn base_point(cs: &CommSet, model: &PowerModel, routing: &Routing) -> Option<(f64, f64)> {
     let power = routing.power(cs, model).ok()?.total();
-    let loads = routing.loads(cs);
-    let mut latency: BTreeMap<LinkId, f64> = BTreeMap::new();
-    for (l, load) in loads.iter_active() {
-        latency.insert(l, 1.0 / model.effective_bandwidth(load)?);
-    }
-    Some((power, routing_latency(cs, routing, &latency).0))
+    let table = latency_table(cs, routing, |load| {
+        Some(1.0 / model.effective_bandwidth(load)?)
+    })?;
+    Some((power, routing_latency(cs, routing, &table)))
 }
 
 /// Tightest latency reachable for a fixed routing: every active link at
@@ -190,44 +231,105 @@ fn min_latency(cs: &CommSet, model: &PowerModel, routing: &Routing) -> Option<f6
         return None;
     };
     let top = *levels.last()?;
-    let loads = routing.loads(cs);
-    let mut latency: BTreeMap<LinkId, f64> = BTreeMap::new();
-    for (l, _) in loads.iter_active() {
-        latency.insert(l, 1.0 / top);
-    }
-    Some(routing_latency(cs, routing, &latency).0)
+    let table = latency_table(cs, routing, |_| Some(1.0 / top))?;
+    Some(routing_latency(cs, routing, &table))
 }
 
-/// The routing latency under per-link latencies, plus the critical
-/// `(comm, path)` pair achieving it (first in comm order, then flow
-/// order — deterministic). Idle comms contribute zero.
-fn routing_latency(
-    cs: &CommSet,
-    routing: &Routing,
-    latency: &BTreeMap<LinkId, f64>,
-) -> (f64, (usize, usize)) {
-    let mesh = cs.mesh();
+/// Latency of one path: its links' latencies summed in path order.
+fn path_latency(links: impl Iterator<Item = LinkId>, table: &[f64]) -> f64 {
+    links.map(|l| table[l.index()]).sum()
+}
+
+/// The largest of `latencies` and the index of the first one achieving it
+/// (the first strictly above every earlier one; `(0.0, 0)` when none is
+/// positive).
+fn critical(latencies: impl Iterator<Item = f64>) -> (f64, usize) {
     let mut worst = 0.0f64;
-    let mut critical = (0usize, 0usize);
-    for i in 0..cs.len() {
-        for (j, (path, _)) in routing.flows(i).iter().enumerate() {
-            let lat: f64 = path
-                .links(mesh)
-                .map(|l| latency.get(&l).copied().unwrap_or(0.0))
-                .sum();
-            if lat > worst {
-                worst = lat;
-                critical = (i, j);
-            }
+    let mut at = 0usize;
+    for (k, lat) in latencies.enumerate() {
+        if lat > worst {
+            worst = lat;
+            at = k;
         }
     }
-    (worst, critical)
+    (worst, at)
 }
+
+/// The routing latency under a per-slot latency table: the worst path
+/// latency over every `(comm, flow)` pair. Idle comms contribute zero.
+fn routing_latency(cs: &CommSet, routing: &Routing, table: &[f64]) -> f64 {
+    let mesh = cs.mesh();
+    let paths = routing.all_flows().iter().flatten();
+    critical(paths.map(|(path, _)| path_latency(path.links(mesh), table))).0
+}
+
+/// A candidate's `(comm, flow)` paths flattened in that order into one CSR
+/// link list, with the inverse index link slot → crossing paths.
+struct FlatPaths {
+    /// Path `k`'s links are `links[off[k]..off[k + 1]]`, in path order.
+    off: Vec<u32>,
+    links: Vec<LinkId>,
+    /// Paths crossing slot `s` are `crossing[cross_off[s]..cross_off[s + 1]]`.
+    cross_off: Vec<u32>,
+    crossing: Vec<u32>,
+}
+
+impl FlatPaths {
+    fn new(cs: &CommSet, routing: &Routing) -> Self {
+        let mesh = cs.mesh();
+        let mut off = vec![0u32];
+        let mut links = Vec::new();
+        for (path, _) in routing.all_flows().iter().flatten() {
+            links.extend(path.links(mesh));
+            off.push(links.len() as u32);
+        }
+        // Counting sort of (link, path) pairs by link slot; paths stay in
+        // ascending order within a slot. A Manhattan path crosses a link
+        // at most once.
+        let mut cross_off = vec![0u32; mesh.num_link_slots() + 1];
+        for l in &links {
+            cross_off[l.index() + 1] += 1;
+        }
+        for s in 1..cross_off.len() {
+            cross_off[s] += cross_off[s - 1];
+        }
+        let mut cursor = cross_off.clone();
+        let mut crossing = vec![0u32; links.len()];
+        for (k, w) in off.windows(2).enumerate() {
+            for l in &links[w[0] as usize..w[1] as usize] {
+                let c = &mut cursor[l.index()];
+                crossing[*c as usize] = k as u32;
+                *c += 1;
+            }
+        }
+        FlatPaths {
+            off,
+            links,
+            cross_off,
+            crossing,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    fn path(&self, k: usize) -> &[LinkId] {
+        &self.links[self.off[k] as usize..self.off[k + 1] as usize]
+    }
+
+    fn crossing(&self, l: LinkId) -> &[u32] {
+        &self.crossing[self.cross_off[l.index()] as usize..self.cross_off[l.index() + 1] as usize]
+    }
+}
+
+/// Level index of a link carrying no load.
+const IDLE: usize = usize::MAX;
 
 /// Greedy ε-constraint solve for one candidate under a discrete scale:
 /// start from the load-minimal level of every active link and repeatedly
 /// uplift one link on the critical path — the one buying the most latency
-/// per unit of extra power (ties to the smaller [`LinkId`]) — until the
+/// per unit of extra power (ties to the first in path order) — until the
 /// budget is met or the critical path has nothing left to uplift.
 fn greedy_uplift(
     cs: &CommSet,
@@ -236,27 +338,44 @@ fn greedy_uplift(
     cand: &Candidate,
     budget: f64,
 ) -> Option<FrontierPoint> {
-    let mesh = cs.mesh();
     let loads = cand.routing.loads(cs);
-    // Load-minimal level index per active link; an unservable load makes
-    // the whole candidate infeasible.
-    let mut level: BTreeMap<LinkId, usize> = BTreeMap::new();
+    // Per-level terms, tabulated once: each is a pure function of the level.
+    let inv: Vec<f64> = levels.iter().map(|&lv| 1.0 / lv).collect();
+    let level_pow: Vec<f64> = levels
+        .iter()
+        .map(|&lv| (lv * model.load_unit).powf(model.alpha))
+        .collect();
+    // Latency bought per unit of extra power by uplifting from level `i`.
+    let score: Vec<f64> = (0..levels.len().saturating_sub(1))
+        .map(|i| {
+            let d_lat = inv[i] - inv[i + 1];
+            let d_pow = model.p0 * (level_pow[i + 1] - level_pow[i]);
+            d_lat / d_pow.max(f64::MIN_POSITIVE)
+        })
+        .collect();
+    // Load-minimal level index per active link (ascending link order); an
+    // unservable load makes the whole candidate infeasible.
+    let slots = cs.mesh().num_link_slots();
+    let mut level = vec![IDLE; slots];
+    let mut latency = vec![0.0; slots];
     let slack = model.capacity * pamr_power::model::CAPACITY_EPS;
     for (l, load) in loads.iter_active() {
         let idx = levels.iter().position(|&lv| load <= lv + slack)?;
-        level.insert(l, idx);
+        level[l.index()] = idx;
+        latency[l.index()] = inv[idx];
     }
-    let link_latency = |level: &BTreeMap<LinkId, usize>| -> BTreeMap<LinkId, f64> {
-        level.iter().map(|(&l, &i)| (l, 1.0 / levels[i])).collect()
-    };
+    let paths = FlatPaths::new(cs, &cand.routing);
+    let mut path_lat: Vec<f64> = (0..paths.len())
+        .map(|k| path_latency(paths.path(k).iter().copied(), &latency))
+        .collect();
     let allowed = budget * (1.0 + LATENCY_EPS) + f64::MIN_POSITIVE;
     loop {
-        let lat_map = link_latency(&level);
-        let (lat, (ci, pj)) = routing_latency(cs, &cand.routing, &lat_map);
+        let (lat, crit) = critical(path_lat.iter().copied());
         if lat <= allowed {
             let power: f64 = level
-                .values()
-                .map(|&i| model.p_leak + model.p0 * (levels[i] * model.load_unit).powf(model.alpha))
+                .iter()
+                .filter(|&&i| i != IDLE)
+                .map(|&i| model.p_leak + model.p0 * level_pow[i])
                 .sum();
             return Some(FrontierPoint {
                 power,
@@ -265,26 +384,26 @@ fn greedy_uplift(
             });
         }
         // Best uplift on the critical path: max Δlatency/Δpower, ties to
-        // the smaller link id (BTreeMap order scans ids ascending and we
-        // replace only on a strict improvement).
-        let (crit_path, _) = &cand.routing.flows(ci)[pj];
+        // the first link in path order (replace only on a strict
+        // improvement).
         let mut best: Option<(f64, LinkId)> = None;
-        for l in crit_path.links(mesh) {
-            let Some(&i) = level.get(&l) else { continue };
-            if i + 1 >= levels.len() {
+        for &l in paths.path(crit) {
+            let i = level[l.index()];
+            if i == IDLE || i + 1 >= levels.len() {
                 continue;
             }
-            let d_lat = 1.0 / levels[i] - 1.0 / levels[i + 1];
-            let d_pow = model.p0
-                * ((levels[i + 1] * model.load_unit).powf(model.alpha)
-                    - (levels[i] * model.load_unit).powf(model.alpha));
-            let score = d_lat / d_pow.max(f64::MIN_POSITIVE);
-            if best.is_none_or(|(s, _)| score > s) {
-                best = Some((score, l));
+            if best.is_none_or(|(s, _)| score[i] > s) {
+                best = Some((score[i], l));
             }
         }
         let (_, uplift) = best?; // critical path saturated: budget unreachable
-        *level.get_mut(&uplift).expect("came from the map") += 1;
+        let u = uplift.index();
+        level[u] += 1;
+        latency[u] = inv[level[u]];
+        for &k in paths.crossing(uplift) {
+            let k = k as usize;
+            path_lat[k] = path_latency(paths.path(k).iter().copied(), &latency);
+        }
     }
 }
 

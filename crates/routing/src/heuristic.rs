@@ -232,41 +232,44 @@ impl Best {
         model: &PowerModel,
         scratch: &mut RouteScratch,
     ) -> BestRoute {
-        let mut best: Option<(HeuristicKind, Routing, f64)> = None;
-        let mut fallback: Option<(HeuristicKind, Routing)> = None;
-        for &kind in &self.portfolio {
-            let routing = kind.route_with(cs, model, scratch);
-            match routing.power(cs, model) {
-                Ok(p) => {
-                    let total = p.total();
-                    if best.as_ref().is_none_or(|(_, _, bp)| total < *bp) {
-                        best = Some((kind, routing, total));
-                    }
-                }
-                Err(_) => {
-                    if fallback.is_none() {
-                        fallback = Some((kind, routing));
-                    }
-                }
+        let mut routings: Vec<Routing> = self
+            .portfolio
+            .iter()
+            .map(|kind| kind.route_with(cs, model, scratch))
+            .collect();
+        let (winner, power) = pick_best(cs, model, &routings);
+        BestRoute {
+            kind: self.portfolio[winner],
+            routing: routings.swap_remove(winner),
+            power,
+        }
+    }
+}
+
+/// [`Best`]'s pick rule over routings already computed for its portfolio
+/// members, in portfolio order: the index of the feasible routing of
+/// smallest total power (the first one on ties) with that power, or
+/// `(0, None)` — the first member — when none is feasible.
+///
+/// Shared with [`FwMp`](crate::multipath::FwMp), which plays its rounded
+/// candidate against the portfolio the frontier has already routed.
+pub(crate) fn pick_best(
+    cs: &CommSet,
+    model: &PowerModel,
+    routings: &[Routing],
+) -> (usize, Option<f64>) {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, routing) in routings.iter().enumerate() {
+        if let Ok(p) = routing.power(cs, model) {
+            let total = p.total();
+            if best.is_none_or(|(_, bp)| total < bp) {
+                best = Some((i, total));
             }
         }
-        match best {
-            Some((kind, routing, power)) => BestRoute {
-                kind,
-                routing,
-                power: Some(power),
-            },
-            None => {
-                // Every member failed, so the first member is in `fallback`
-                // (the portfolio is non-empty by construction).
-                let (kind, routing) = fallback.expect("non-empty portfolio");
-                BestRoute {
-                    kind,
-                    routing,
-                    power: None,
-                }
-            }
-        }
+    }
+    match best {
+        Some((i, power)) => (i, Some(power)),
+        None => (0, None),
     }
 }
 

@@ -67,7 +67,7 @@ pub mod tables;
 pub mod two_bend;
 pub mod xyi;
 
-pub use comm::{Comm, CommSet, SortOrder};
+pub use comm::{Comm, CommSet, InvalidComm, SortOrder};
 pub use csr::CrossingIndex;
 pub use engine::{EngineConfig, EngineSel};
 pub use exact::optimal_single_path;

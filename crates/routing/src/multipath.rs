@@ -17,17 +17,18 @@
 //! keep at most `s` paths whose weights are rescaled proportionally to sum
 //! to `δ_i`. Since every band link is quadrant-monotone, every stripped
 //! path is Manhattan by construction. The rounded candidate is then played
-//! against the full 1-MP [`Best`] portfolio and the better routing wins,
-//! so `P(FwMp) ≤ min(P(1-MP heuristics))` holds by construction while the
-//! FW duality gap bounds it from below (under continuous no-leakage
-//! scaling) — the sandwich `tests/multipath_differential.rs` pins.
+//! against the full 1-MP [`Best`](crate::heuristic::Best) portfolio and the
+//! better routing wins, so `P(FwMp) ≤ min(P(1-MP heuristics))` holds by
+//! construction while the FW duality gap bounds it from below (under
+//! continuous no-leakage scaling) — the sandwich
+//! `tests/multipath_differential.rs` pins.
 
 use crate::comm::{Comm, CommSet};
-use crate::fw::frank_wolfe;
-use crate::heuristic::{Best, Heuristic};
+use crate::fw::{bands, solve, BandDp};
+use crate::heuristic::{pick_best, Heuristic, HeuristicKind};
 use crate::routing::Routing;
 use crate::scratch::RouteScratch;
-use pamr_mesh::{Band, LinkId, Mesh, Path, Step};
+use pamr_mesh::{Band, Mesh, Path, Step};
 use pamr_power::PowerModel;
 use std::collections::BTreeMap;
 
@@ -110,13 +111,13 @@ impl<H: Heuristic> Heuristic for SplitMp<H> {
 ///
 /// Runs the fractional solver, strips the flow of each communication into
 /// at most `s` maximin-bottleneck Manhattan paths, and returns the better
-/// of the rounded routing and the 1-MP [`Best`] portfolio — so its power
-/// never exceeds the best single-path heuristic's.
+/// of the rounded routing and the 1-MP [`Best`](crate::heuristic::Best)
+/// portfolio — so its power never exceeds the best single-path
+/// heuristic's.
 #[derive(Debug, Clone)]
 pub struct FwMp {
     s: usize,
     iterations: usize,
-    portfolio: Best,
 }
 
 impl FwMp {
@@ -128,11 +129,7 @@ impl FwMp {
     /// Panics if `s == 0`.
     pub fn new(s: usize) -> Self {
         assert!(s >= 1, "need at least one path per communication");
-        FwMp {
-            s,
-            iterations: 200,
-            portfolio: Best::default(),
-        }
+        FwMp { s, iterations: 200 }
     }
 
     /// This rounder with a different Frank–Wolfe iteration budget.
@@ -147,80 +144,74 @@ impl FwMp {
     }
 }
 
-/// Maximin-bottleneck src→snk path through the positive arc flows, by DP
-/// over the band's diagonal groups (each group's links all advance one
-/// diagonal, so group order is a topological order of the band DAG).
-/// Deterministic: links are scanned in band (CSR) order and only strict
-/// width improvements replace a predecessor, so ties keep the first-found
-/// path. `None` when no positive-flow path reaches the sink.
-fn widest_path(mesh: &Mesh, band: &Band, arc: &BTreeMap<LinkId, f64>) -> Option<(Path, f64)> {
-    let src_i = mesh.core_index(band.src());
-    let mut width: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut pred: BTreeMap<usize, (usize, Step)> = BTreeMap::new();
-    width.insert(src_i, f64::INFINITY);
-    for g in band.groups() {
-        for &l in g {
-            let Some(&f) = arc.get(&l) else { continue };
-            let (from, to) = mesh.link_endpoints(l);
-            let (fi, ti) = (mesh.core_index(from), mesh.core_index(to));
-            if let Some(&wf) = width.get(&fi) {
-                let cand = wf.min(f);
-                if width.get(&ti).is_none_or(|&wt| cand > wt) {
-                    width.insert(ti, cand);
-                    pred.insert(ti, (fi, mesh.link_step(l)));
-                }
-            }
-        }
-    }
-    let snk_i = mesh.core_index(band.snk());
-    let w = *width.get(&snk_i)?;
+/// Maximin-bottleneck src→snk path through the arc flows above `eps`, by
+/// a DP sweep over the band's arcs in CSR (diagonal) order — a topological
+/// order of the band DAG. Deterministic: only strict width improvements
+/// replace a predecessor, so ties keep the first-found path. `None` when no
+/// positive-flow path reaches the sink.
+///
+/// `arc` is indexed by link slot; a link carries flow iff its entry
+/// exceeds `eps` (stripping only ever lowers entries, so a link that falls
+/// to `eps` or below stays out for the rest of the stripping).
+fn widest_path(dp: &mut BandDp, band: &Band, arc: &[f64], eps: f64) -> Option<(Path, f64)> {
+    let w = dp.sweep(
+        band,
+        f64::INFINITY,
+        |l, wf| {
+            let f = arc[l.index()];
+            (f > eps).then(|| wf.min(f))
+        },
+        |cand, wt| cand > wt,
+    )?;
     if w <= 0.0 || !w.is_finite() {
         return None;
     }
-    let mut moves: Vec<Step> = Vec::with_capacity(band.len());
-    let mut cur = snk_i;
-    while cur != src_i {
-        let (prev, step) = pred[&cur];
-        moves.push(step);
-        cur = prev;
-    }
-    moves.reverse();
+    let mut moves = Vec::new();
+    dp.moves_into(band, &mut moves);
     Some((Path::from_moves(band.src(), moves), w))
 }
 
 /// Strips one communication's fractional flow into ≤ `s` weighted
 /// Manhattan paths, largest bottleneck first, weights rescaled
 /// proportionally to sum to the communication's weight.
-fn strip_paths(mesh: &Mesh, c: &Comm, flows: &[(Path, f64)], s: usize) -> Vec<(Path, f64)> {
+///
+/// `arc` is an all-zero per-slot scratch array; it is all-zero again on
+/// return.
+fn strip_paths(
+    mesh: &Mesh,
+    dp: &mut BandDp,
+    band: &Band,
+    arc: &mut [f64],
+    c: &Comm,
+    flows: &[(Path, f64)],
+    s: usize,
+) -> Vec<(Path, f64)> {
     if c.is_local() {
         return vec![(Path::from_moves(c.src, vec![]), c.weight)];
     }
     let eps = 1e-12 * c.weight;
-    // Arc flows of the fractional routing, keyed in LinkId order. Every FW
-    // path lives on the band, so this is the per-comm flow DAG.
-    let mut arc: BTreeMap<LinkId, f64> = BTreeMap::new();
+    // Arc flows of the fractional routing. Every FW path lives on the
+    // band, so this is the per-comm flow DAG.
     for (p, r) in flows {
         for l in p.links(mesh) {
-            *arc.entry(l).or_insert(0.0) += *r;
+            arc[l.index()] += *r;
         }
     }
-    arc.retain(|_, f| *f > eps);
-    let band = c.band(mesh);
     let mut out: Vec<(Path, f64)> = Vec::new();
     while out.len() < s {
-        let Some((path, bottleneck)) = widest_path(mesh, &band, &arc) else {
+        let Some((path, bottleneck)) = widest_path(dp, band, arc, eps) else {
             break;
         };
         if bottleneck <= eps {
             break;
         }
         for l in path.links(mesh) {
-            if let Some(f) = arc.get_mut(&l) {
-                *f -= bottleneck;
-            }
+            arc[l.index()] -= bottleneck;
         }
-        arc.retain(|_, f| *f > eps);
         out.push((path, bottleneck));
+    }
+    for l in band.links() {
+        arc[l.index()] = 0.0;
     }
     if out.is_empty() {
         // Degenerate fractional support (numerically dead flow everywhere):
@@ -238,30 +229,71 @@ fn strip_paths(mesh: &Mesh, c: &Comm, flows: &[(Path, f64)], s: usize) -> Vec<(P
     out
 }
 
+impl FwMp {
+    /// The rounded Frank–Wolfe candidate alone: the fractional optimum,
+    /// each communication stripped into at most `s` paths. The bands and
+    /// DP arrays of the solve are reused by the stripping.
+    fn round(&self, cs: &CommSet, model: &PowerModel) -> Routing {
+        let mesh = cs.mesh();
+        let bands = bands(cs);
+        let mut dp = BandDp::new(mesh);
+        let fw = solve(cs, model, self.iterations, &bands, &mut dp);
+        let mut arc = vec![0.0; mesh.num_link_slots()];
+        Routing::multi(
+            cs.comms()
+                .iter()
+                .zip(&bands)
+                .enumerate()
+                .map(|(i, (c, band))| {
+                    strip_paths(
+                        mesh,
+                        &mut dp,
+                        band,
+                        &mut arc,
+                        c,
+                        fw.routing.flows(i),
+                        self.s,
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// [`FwMp`]'s routing when the 1-MP portfolio has already been routed:
+    /// `portfolio` holds the routing of every policy of
+    /// [`HeuristicKind::ALL`], in that order (the default
+    /// [`Best`](crate::heuristic::Best) portfolio). Bit-identical to
+    /// [`Heuristic::route_with`], without routing the six policies again.
+    pub(crate) fn route_over(
+        &self,
+        cs: &CommSet,
+        model: &PowerModel,
+        portfolio: &[Routing],
+    ) -> Routing {
+        debug_assert_eq!(portfolio.len(), HeuristicKind::ALL.len());
+        let candidate = self.round(cs, model);
+        let (winner, p1) = pick_best(cs, model, portfolio);
+        // Feasible beats infeasible; among feasible, smaller power wins;
+        // ties keep the multi-path candidate.
+        match (candidate.power(cs, model), p1) {
+            (Ok(pc), Some(p1)) if pc.total() <= p1 => candidate,
+            (_, Some(_)) => portfolio[winner].clone(),
+            (_, None) => candidate,
+        }
+    }
+}
+
 impl Heuristic for FwMp {
     fn name(&self) -> &'static str {
         "FW-MP"
     }
 
     fn route_with(&self, cs: &CommSet, model: &PowerModel, scratch: &mut RouteScratch) -> Routing {
-        let mesh = cs.mesh();
-        let fw = frank_wolfe(cs, model, self.iterations);
-        let candidate = Routing::multi(
-            cs.comms()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| strip_paths(mesh, c, fw.routing.flows(i), self.s))
-                .collect(),
-        );
-        let best1 = self.portfolio.route_with(cs, model, scratch);
-        // Feasible beats infeasible; among feasible, smaller power wins;
-        // ties keep the multi-path candidate.
-        match (candidate.power(cs, model), best1.power) {
-            (Ok(pc), Some(p1)) if pc.total() <= p1 => candidate,
-            (Ok(_), Some(_)) => best1.routing,
-            (Ok(_), None) | (Err(_), None) => candidate,
-            (Err(_), Some(_)) => best1.routing,
-        }
+        let portfolio: Vec<Routing> = HeuristicKind::ALL
+            .iter()
+            .map(|kind| kind.route_with(cs, model, scratch))
+            .collect();
+        self.route_over(cs, model, &portfolio)
     }
 }
 

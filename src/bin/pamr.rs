@@ -230,12 +230,19 @@ fn model_arg(args: &[String]) -> PowerModel {
     }
 }
 
-/// The instance JSON at `path`, exiting 1 when it cannot be read or parsed.
+/// The instance JSON at `path`, exiting 1 when it cannot be read or
+/// parsed, or names an off-mesh endpoint or a weight that is not strictly
+/// positive and finite.
 fn load_instance(path: &str) -> CommSet {
-    serde_json::from_str(&read_file(path)).unwrap_or_else(|e| {
+    let cs: CommSet = serde_json::from_str(&read_file(path)).unwrap_or_else(|e| {
         eprintln!("cannot parse {path}: {e}");
         exit(1);
-    })
+    });
+    if let Err(e) = cs.validate() {
+        eprintln!("invalid instance {path}: {e}");
+        exit(1);
+    }
+    cs
 }
 
 fn cmd_route(args: &[String]) {

@@ -261,3 +261,66 @@ fn malformed_numeric_flags_are_rejected() {
     assert!(rejected(&["summary", "--bogus", "1"]).contains("--bogus"));
     assert!(rejected(&["fig8", "--trials"]).contains("--trials"));
 }
+
+/// Writes a one-communication 4×4 instance with the given sink and weight
+/// (bypassing the library constructors, as a hand-edited file would).
+fn instance_file(name: &str, snk: (usize, usize), weight: f64) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("pamr_cli_invalid_instance");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    let json = format!(
+        r#"{{"mesh": {{"p": 4, "q": 4}}, "comms": [
+            {{"src": {{"u": 0, "v": 0}}, "snk": {{"u": 1, "v": 1}}, "weight": 300.0}},
+            {{"src": {{"u": 0, "v": 0}}, "snk": {{"u": {}, "v": {}}}, "weight": {weight:?}}}
+        ]}}"#,
+        snk.0, snk.1
+    );
+    std::fs::write(&path, json).unwrap();
+    path
+}
+
+/// Stderr of a `pamr` run that must fail on its input (exit status 1,
+/// not a panic's 101).
+fn refused_input(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_pamr"))
+        .args(args)
+        .output()
+        .expect("failed to spawn pamr");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "pamr {args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn off_mesh_instances_are_refused() {
+    let inst = instance_file("off_mesh.json", (9, 2), 300.0);
+    let inst = inst.to_str().unwrap();
+    for args in [
+        &["route", "--instance", inst][..],
+        &["frontier", "--instance", inst][..],
+    ] {
+        let stderr = refused_input(args);
+        assert!(
+            stderr.contains("communication 1") && stderr.contains("leaves the 4x4 mesh"),
+            "pamr {args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn non_positive_weights_are_refused() {
+    for (name, weight) in [("zero.json", 0.0), ("negative.json", -5.0)] {
+        let inst = instance_file(name, (3, 3), weight);
+        let inst = inst.to_str().unwrap();
+        for args in [
+            &["route", "--instance", inst][..],
+            &["frontier", "--instance", inst][..],
+        ] {
+            let stderr = refused_input(args);
+            assert!(
+                stderr.contains("communication 1") && stderr.contains("strictly positive"),
+                "pamr {args:?}: {stderr}"
+            );
+        }
+    }
+}
